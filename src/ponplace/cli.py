@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import eepiv as eepiv_mod
 from . import experiments, milp
-from .config import load_config
+from .config import load_config, model_params
 from .power import ModelParams
 from .topology import TopologyConfig, build_instance, write_csv
 
@@ -28,12 +29,14 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
 
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
+    # Model flags default to None so that only the flags given override
+    # --config; without a config the library's defaults apply.
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--scale", choices=["paper", "reduced"], default="paper")
-    p.add_argument("--scenario", type=int, choices=[1, 2, 3], default=1)
-    p.add_argument("--reduction", type=float, default=0.5,
+    p.add_argument("--scenario", type=int, choices=[1, 2, 3])
+    p.add_argument("--reduction", type=float,
                    help="traffic reduction fraction in [0, 1)")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=int)
     p.add_argument("--no-capacity", action="store_true",
                    help="drop the per-cloudlet workload cap")
     p.add_argument("--out", default=None, help="output directory "
@@ -50,15 +53,17 @@ def _out_dir(args) -> Path:
 def _instance_and_params(args):
     if args.config:
         config, params = load_config(args.config)
-        config = type(config)(**{**config.__dict__, "rng_seed": args.seed})
-        params = ModelParams.for_scenario(
-            args.scenario, args.reduction, vm_types=config.vm_types,
-            capacity_enforced=not args.no_capacity)
     else:
-        config = experiments.topology_for_scale(args.scale, args.seed)
-        params = ModelParams.for_scenario(
-            args.scenario, args.reduction, vm_types=config.vm_types,
-            capacity_enforced=not args.no_capacity)
+        config = experiments.topology_for_scale(args.scale,
+                                                TopologyConfig.rng_seed)
+        params = model_params({}, config.vm_types)
+    if args.seed is not None:
+        config = replace(config, rng_seed=args.seed)
+    params = ModelParams.for_scenario(
+        params.scenario if args.scenario is None else args.scenario,
+        params.reduction_pct if args.reduction is None else args.reduction,
+        vm_types=config.vm_types, demand_bps=params.demand_bps,
+        capacity_enforced=params.capacity_enforced and not args.no_capacity)
     return build_instance(config), params
 
 
@@ -154,11 +159,16 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "sweep":
+        if args.config:
+            raise ValueError("sweep does not read --config; give the sweep "
+                             "as flags")
         spec = experiments.SweepSpec(
             scenarios=tuple(int(s) for s in args.scenarios.split(",")),
             reductions=tuple(float(r) for r in args.reductions.split(",")),
             engines=tuple(args.engines or ["eepiv"]),
-            seeds=_parse_seeds(args.seeds) if args.seeds else (args.seed,),
+            seeds=(_parse_seeds(args.seeds) if args.seeds
+                   else (TopologyConfig.rng_seed if args.seed is None
+                         else args.seed,)),
             scale=args.scale,
             capacity_enforced=not args.no_capacity)
         result = experiments.run_sweep(spec, out_dir=out, jobs=args.jobs)

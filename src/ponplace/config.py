@@ -11,6 +11,8 @@ from .power import ModelParams
 from .topology import (ConfigError, RelayLayout, RequestAssignment,
                        TopologyConfig)
 
+_MODEL_KEYS = {"scenario", "reduction_pct", "demand_bps", "capacity_enforced"}
+
 _ENUM_FIELDS = {
     "request_assignment": RequestAssignment,
     "relay_layout": RelayLayout,
@@ -23,7 +25,7 @@ def load_config(path: str | Path) -> tuple[TopologyConfig, ModelParams]:
     known = {f.name for f in fields(TopologyConfig)}
     unknown = set(topo_data) - known
     if unknown:
-        raise ConfigError(f"unknown topology keys {sorted(unknown)}")
+        raise ConfigError(f"{path}: unknown topology keys {sorted(unknown)}")
     for key, enum_cls in _ENUM_FIELDS.items():
         if key in topo_data:
             topo_data[key] = enum_cls(topo_data[key])
@@ -32,9 +34,17 @@ def load_config(path: str | Path) -> tuple[TopologyConfig, ModelParams]:
     topology = TopologyConfig(**topo_data)
 
     model_data = dict(data.get("model", {}))
+    unknown = set(model_data) - _MODEL_KEYS
+    if unknown:
+        raise ConfigError(f"{path}: unknown model keys {sorted(unknown)}")
+    return topology, model_params(model_data, topology.vm_types)
+
+
+def model_params(model_data: dict, vm_types: int) -> ModelParams:
+    """``ModelParams`` from the keys of a ``model`` section; a key left
+    out takes its default (scenario 1, reduction 0.5)."""
+    model_data = dict(model_data)
     scenario = model_data.pop("scenario", 1)
     reduction = model_data.pop("reduction_pct", 0.5)
-    params = ModelParams.for_scenario(scenario, reduction,
-                                      vm_types=topology.vm_types,
-                                      **model_data)
-    return topology, params
+    return ModelParams.for_scenario(scenario, reduction, vm_types=vm_types,
+                                    **model_data)

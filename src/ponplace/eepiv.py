@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .power import ModelParams, PowerReport, SCALED_LAYERS, total_objective
+from .power import ModelParams, PowerReport, total_objective
 from .routing import min_hop_path
 from .solution import FlowAssignment, PlacementSolution, build_flows
 from .topology import (LayerKind, NetworkInstance, OLT_NETWORK_ID,
@@ -88,13 +88,11 @@ def run_eepiv(instance: NetworkInstance, params: ModelParams, *,
             served[o] = c
 
     solution = PlacementSolution.from_assignment(instance, params, served)
-    cn = set(candidate_nodes(instance))
     olt = instance.olt_id
     flows = build_flows(
         instance, params, solution,
         path_unprocessed=lambda o, c: min_hop_path(instance, params, o, c)[2],
-        path_processed=lambda c: min_hop_path(instance, params, c, olt,
-                                              allowed=cn)[2])
+        path_processed=lambda c: min_hop_path(instance, params, c, olt)[2])
     report = total_objective(solution, flows, instance, params)
     if literal_total:
         total = sum(w for layer, w in report.processing_w.items()

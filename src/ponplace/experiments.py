@@ -8,13 +8,14 @@ import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from itertools import repeat
 from pathlib import Path
 
 from . import eepiv as eepiv_mod
 from . import milp
 from .power import ModelParams, PowerReport
-from .topology import (LayerKind, NetworkInstance, TopologyConfig,
-                       build_instance)
+from .topology import NetworkInstance, TopologyConfig, build_instance
 
 DEFAULT_REDUCTIONS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -81,6 +82,8 @@ class CellResult:
     wall_time_s: float
     error: str | None = None
     lp_path: str | None = None
+    #: objects in the cell's instance; a report serving fewer is partial.
+    object_count: int = 0
 
 
 def _placement_rows(instance: NetworkInstance, solution) -> list[tuple[str, int, int]]:
@@ -88,13 +91,21 @@ def _placement_rows(instance: NetworkInstance, solution) -> list[tuple[str, int,
                   for c, v in solution.placed)
 
 
+@lru_cache(maxsize=1)
+def _instance(scale: str, seed: int) -> NetworkInstance:
+    """The instance of one topology seed.  Sweeps run their cells seed by
+    seed, so a process builds each seed's instance, and the route table
+    its cells share, once."""
+    return build_instance(topology_for_scale(scale, seed))
+
+
 def _run_cell(key: CellKey, scale: str, capacity_enforced: bool,
               out_dir: str | None) -> CellResult:
-    config = topology_for_scale(scale, key.seed)
-    instance = build_instance(config)
+    instance = _instance(scale, key.seed)
     params = ModelParams.for_scenario(key.scenario, key.reduction,
-                                      vm_types=config.vm_types,
+                                      vm_types=instance.config.vm_types,
                                       capacity_enforced=capacity_enforced)
+    objects = len(instance.objects())
     start = time.perf_counter()
     try:
         if key.engine == "eepiv":
@@ -102,13 +113,15 @@ def _run_cell(key: CellKey, scale: str, capacity_enforced: bool,
             return CellResult(report=res.report,
                               placements=_placement_rows(instance, res.solution),
                               served_count=res.served_count,
-                              wall_time_s=time.perf_counter() - start)
+                              wall_time_s=time.perf_counter() - start,
+                              object_count=objects)
         if key.engine == "exact":
             solution, _, report = milp.solve_exact(instance, params)
             return CellResult(report=report,
                               placements=_placement_rows(instance, solution),
                               served_count=len(solution.assignment),
-                              wall_time_s=time.perf_counter() - start)
+                              wall_time_s=time.perf_counter() - start,
+                              object_count=objects)
         # lp-export: write the model instead of solving it.
         model = milp.build_model(instance, params)
         name = (f"model_s{key.scenario}_r{int(round(key.reduction * 100))}"
@@ -117,12 +130,13 @@ def _run_cell(key: CellKey, scale: str, capacity_enforced: bool,
         milp.emit_lp(model, path)
         return CellResult(report=None, placements=[], served_count=0,
                           wall_time_s=time.perf_counter() - start,
-                          lp_path=str(path))
+                          lp_path=str(path), object_count=objects)
     except milp.ResourceBudgetError as exc:
         return CellResult(report=None, placements=[], served_count=0,
                           wall_time_s=time.perf_counter() - start,
                           error=f"{exc} (use --scale reduced for the exact "
-                                f"engine, or lp-export)")
+                                f"engine, or lp-export)",
+                          object_count=objects)
 
 
 @dataclass
@@ -144,27 +158,26 @@ def run_sweep(spec: SweepSpec, out_dir: str | Path | None = None,
               jobs: int = 1) -> SweepResult:
     """Execute every (scenario, reduction, engine, seed) cell.  Cells are
     independent; with ``jobs > 1`` they run in worker processes and are
-    merged by key, so the result is identical for any job count."""
+    merged by key, so the result is identical for any job count.  Cells
+    run seed by seed, so that consecutive cells share one instance."""
     spec.validate()
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     keys = [CellKey(sc, r, eng, seed)
             for sc in spec.scenarios for r in spec.reductions
             for eng in spec.engines for seed in spec.seeds]
-    result = SweepResult(spec=spec)
-    out = str(out_dir) if out_dir is not None else None
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {key: pool.submit(_run_cell, key, spec.scale,
-                                        spec.capacity_enforced, out)
-                       for key in keys}
-            for key in keys:
-                result.cells[key] = futures[key].result()
-    else:
-        for key in keys:
-            result.cells[key] = _run_cell(key, spec.scale,
-                                          spec.capacity_enforced, out)
-    return result
+    order = sorted(keys, key=lambda key: spec.seeds.index(key.seed))
+    args = (order, repeat(spec.scale), repeat(spec.capacity_enforced),
+            repeat(str(out_dir) if out_dir is not None else None))
+    try:
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                cells = dict(zip(order, pool.map(_run_cell, *args)))
+        else:
+            cells = dict(zip(order, map(_run_cell, *args)))
+    finally:
+        _instance.cache_clear()
+    return SweepResult(spec=spec, cells={key: cells[key] for key in keys})
 
 
 def savings_summary(result: SweepResult, engine: str | None = None) -> list[dict]:
@@ -179,8 +192,14 @@ def savings_summary(result: SweepResult, engine: str | None = None) -> list[dict
         if missing:
             raise SweepError(f"savings need scenarios 1-3; missing {missing}")
         for key, cell in result.cells.items():
-            if key.engine == eng and cell.report is None:
+            if key.engine != eng:
+                continue
+            if cell.report is None:
                 raise SweepError(f"cell {key} failed: {cell.error}")
+            if cell.served_count < cell.object_count:
+                raise SweepError(f"cell {key} served {cell.served_count} of "
+                                 f"{cell.object_count} objects; its total "
+                                 f"leaves the rest out")
         totals = {sc: sum(result.seed_mean_total(sc, r, eng)
                           for r in result.spec.reductions)
                   for sc in (1, 2, 3)}

@@ -12,6 +12,7 @@ per-cloudlet workload cap.
 from __future__ import annotations
 
 import heapq
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -374,14 +375,71 @@ def write_solution_values(path: str | Path, solution: PlacementSolution,
     return path
 
 
+#: Variable families of the model and what each index names: a node (n)
+#: or a VM type (v).  ``xuf_o_c_x_y`` names four nodes.
+VARIABLE_INDICES = {"Iv": "nv", "H": "n", "TW": "n", "xoc": "nn",
+                    "xovc": "nvn", "xuf": "nnnn", "xpc": "n", "xpf": "nnn",
+                    "lu": "nn", "lp": "nn"}
+#: Families whose last two indices are the ends of a link.
+LINK_FAMILIES = ("xuf", "xpf", "lu", "lp")
+
+#: Imported values may carry solver round-off down to this much below 0.
+NEGATIVE_TOL = 1e-9
+
+
+def _variable_problem(name: str, value: float) -> str | None:
+    """Why ``name value`` cannot be a value of the model, or None."""
+    tag, *indices = name.split("_")
+    kinds = VARIABLE_INDICES.get(tag, "")
+    if len(kinds) != len(indices) or not all(i.isdigit() for i in indices):
+        return f"unknown variable {name!r}"
+    if not math.isfinite(value) or value < -NEGATIVE_TOL:
+        return f"{name} has value {value!r}; values must be finite and >= 0"
+    return None
+
+
+def _index_problem(name: str, instance: NetworkInstance,
+                   vm_types: int) -> str | None:
+    """Why the well-formed variable ``name`` is not one of this instance's
+    model, or None."""
+    tag, *indices = name.split("_")
+    ids = [int(i) for i in indices]
+    sizes = {"n": len(instance.nodes), "v": vm_types}
+    if any(i >= sizes[k] for k, i in zip(VARIABLE_INDICES[tag], ids)):
+        return f"variable {name!r} names a node or VM type the instance lacks"
+    if tag in LINK_FAMILIES and tuple(ids[-2:]) not in instance.link_by_pair:
+        return f"variable {name!r} names a link the instance lacks"
+    return None
+
+
 def load_solution_values(path: str | Path) -> dict[str, float]:
+    """Read a two-column ``variable value`` file.  Blank lines and ``#``
+    comments are skipped; anything else that is not a known variable with
+    a finite, nonnegative value fails, naming ``path:line``."""
     values: dict[str, float] = {}
-    for line in Path(path).read_text().splitlines():
+    seen: dict[str, int] = {}
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        name, value = line.split()
-        values[name] = float(value)
+        where = f"{path}:{number}"
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise ValueError(f"{where}: expected 'variable value', "
+                             f"got {line!r}")
+        name, text = tokens
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValueError(f"{where}: value {text!r} is not a number") \
+                from None
+        problem = _variable_problem(name, value)
+        if problem is None and name in seen:
+            problem = f"{name} repeats line {seen[name]}"
+        if problem is not None:
+            raise ValueError(f"{where}: {problem}")
+        seen[name] = number
+        values[name] = value
     return values
 
 
@@ -389,7 +447,14 @@ def solution_from_values(values: dict[str, float], instance: NetworkInstance,
                          params: ModelParams,
                          tol: float = 1e-6) -> tuple[PlacementSolution, FlowAssignment]:
     """Rebuild a placement and flow assignment from imported variable
-    values (native export or an external solver's answer)."""
+    values (native export or an external solver's answer).  Values of the
+    aggregate families (``xovc``, ``lu``, ``lp``) are accepted and
+    recomputed from the per-commodity ones."""
+    for name, value in values.items():
+        problem = (_variable_problem(name, value)
+                   or _index_problem(name, instance, params.workloads.vm_types))
+        if problem is not None:
+            raise ValueError(problem)
     placed = set()
     workload: dict[int, float] = {}
     assignment: dict[int, list[tuple[int, float]]] = {}
@@ -594,20 +659,20 @@ def solve_exact(instance: NetworkInstance, params: ModelParams,
             f"{m} candidates exceed the exact-search budget "
             f"({limits.max_candidates}); use the heuristic or emit the model")
     olt = instance.olt_id
-    cn = set(cand)
     demand = params.demand_bps
     f = params.remaining_fraction
     vm_types = params.workloads.vm_types
     if max(instance.vm_request.values(), default=0) >= vm_types:
         raise InfeasibleError("instance requests a VM type outside the table")
 
-    # Cheapest processed path per candidate on the candidate-only subgraph.
+    # Cheapest processed path per candidate; no link enters an object, so
+    # it stays on the candidate-only subgraph.
     proc: dict[int, tuple[float, tuple[int, ...]]] = {}
     for c in cand:
         if c == olt:
             proc[c] = (0.0, (olt,))
         else:
-            proc[c] = cheapest_path(instance, params, c, olt, allowed=cn | {c})
+            proc[c] = cheapest_path(instance, params, c, olt)
 
     # Cheapest unprocessed path per (object, candidate).
     up = {o: cheapest_paths(instance, params, o) for o in instance.objects()}

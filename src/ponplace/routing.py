@@ -1,73 +1,239 @@
-"""Shortest-path helpers on the directed uplink graph.
+"""Shortest paths on the directed uplink graph, answered from one route
+table per instance and energy parameter set.
 
-Two flavours are used by the engines: cheapest path under the per-bit
-objective cost (exact engine) and minimum-hop with energy-cost then
-smallest-node-id tie-breaking (heuristic).  Both are deterministic.
+Two orders are used by the engines: cheapest path under the per-bit
+objective cost (exact engine) and minimum hops, then cost (heuristic).
+Remaining ties go to the lexicographically smallest node-id path.
+
+Objects only transmit, the OLT only receives and no link leaves an IoT
+network except into the OLT.  A network's routes are therefore label
+matrices from each of its nodes to each of its candidates (and the OLT),
+computed once with numpy and kept on the instance.  A label is the fixed
+point of ``L(s, v) = min_u L(s, u) + cost(u, v)``; costs are summed from
+the source outwards, so labels and paths are bit-for-bit those of a
+Dijkstra search from each source.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable
+from functools import cached_property
+from itertools import groupby
 
-from .power import ModelParams, link_cost_per_bit
-from .topology import NetworkInstance
+import numpy as np
+
+from .power import EnergyParams, ModelParams, link_cost_per_bit
+from .topology import LayerKind, NetworkInstance, OLT_NETWORK_ID
+
+#: Largest (sources x targets x targets) temporary one label computation
+#: allocates; source rows are labelled in blocks that stay below it.
+BLOCK_ELEMENTS = 1 << 21
 
 
 class Unreachable(ValueError):
     """No path between the requested endpoints."""
 
 
-def _dijkstra(instance: NetworkInstance, params: ModelParams, src: int,
-              allowed: set[int] | None, key) -> dict[int, tuple]:
-    """Settle every reachable node; returns node -> (key_tuple, path).
+class _Order:
+    """Labels and tight predecessors of one network under one order.
 
-    ``key(link) -> tuple`` gives the additive edge weight.  Ties are broken
-    by the lexicographically smallest node-id path, which makes the result
-    independent of heap insertion order.
+    ``hops``/``cost`` are (sources x targets) label lists.  A tight
+    predecessor of ``v`` from ``s`` is a node whose label plus the link
+    cost reproduces ``L(s, v)`` exactly; ``first`` holds the lowest one
+    and ``ties`` the pairs with more than one.
     """
-    zero = tuple(0 for _ in key(instance.links[0])) if instance.links else ()
-    best: dict[int, tuple] = {}
-    heap = [(zero, (src,))]
-    while heap:
-        weight, path = heapq.heappop(heap)
-        node = path[-1]
-        if node in best:
-            continue
-        best[node] = (weight, path)
-        for link in instance.out_links[node]:
-            if link.dst in best:
-                continue
-            if allowed is not None and link.dst not in allowed:
-                continue
-            w = tuple(a + b for a, b in zip(weight, key(link)))
-            heapq.heappush(heap, (w, path + (link.dst,)))
-    return best
+
+    def __init__(self, targets):
+        self.targets = targets
+        self.hops, self.cost, self.first = [], [], []
+        self.ties: dict[tuple[int, int], list[int]] = {}
+
+    def add(self, hops, cost, via, direct, sources):
+        """Append the rows of one block of ``sources``.  ``via[s, v, u]`` is
+        ``L(s, u) + cost(u, v)`` over targets ``u``; the source's own links
+        are counted once, in ``direct``."""
+        offset, targets = len(self.hops), self.targets
+        own = sources[:, None] == targets[None, :]
+        tight = (via == cost[:, :, None]) & np.isfinite(via) & ~own[:, None, :]
+        counts = tight.sum(axis=2) + direct
+        first = np.where(direct, sources[:, None],
+                         targets[tight.argmax(axis=2)])
+        self.hops += hops.tolist()
+        self.cost += cost.tolist()
+        self.first += first.tolist()
+        self.ties.update(
+            ((offset + i, j), [sources[i].item()] * bool(direct[i, j])
+             + targets[tight[i, j]].tolist())
+            for i, j in np.argwhere(counts > 1).tolist())
 
 
-def cheapest_paths(instance: NetworkInstance, params: ModelParams, src: int,
-                   allowed: set[int] | None = None) -> dict[int, tuple[float, tuple[int, ...]]]:
+class _Network:
+    """Route labels from every node of one network (OLT included) to its
+    candidate nodes.  Each order is computed on first use."""
+
+    def __init__(self, instance: NetworkInstance, nodes: list[int],
+                 cost_of: dict[tuple[int, int], float]):
+        self.sources = np.array(nodes)
+        self.targets = np.array([n for n in nodes
+                                 if instance.layer(n) is not LayerKind.OBJECT])
+        self.row = {n: i for i, n in enumerate(nodes)}
+        self.col = {n: j for j, n in enumerate(self.targets.tolist())}
+        rows, cols, costs = [], [], []
+        for n in nodes:
+            for ln in instance.out_links[n]:
+                rows.append(self.row[n])
+                cols.append(self.col[ln.dst])
+                costs.append(cost_of[(n, ln.dst)])
+        # w[s, v]: link cost s -> v; w_in[v, u]: link cost u -> v.
+        self.w = np.full((len(nodes), len(self.targets)), np.inf)
+        self.w[rows, cols] = costs
+        self.w_in = self.w[[self.row[t] for t in self.targets.tolist()]].T
+        self.own = self.sources[:, None] == self.targets[None, :]
+
+    def _blocks(self):
+        """Slices of source rows whose temporaries fit ``BLOCK_ELEMENTS``."""
+        step = max(1, BLOCK_ELEMENTS // max(1, len(self.targets) ** 2))
+        return [slice(lo, lo + step)
+                for lo in range(0, len(self.sources), step)]
+
+    @cached_property
+    def cheapest(self) -> _Order:
+        order = _Order(self.targets)
+        for rows in self._blocks():
+            w, own = self.w[rows], self.own[rows]
+            cost = np.where(own, 0.0, np.inf)
+            while True:
+                via = cost[:, None, :] + self.w_in[None]
+                relaxed = np.minimum(cost, np.minimum(via.min(axis=2), w))
+                if np.array_equal(relaxed, cost):
+                    break
+                cost = relaxed
+            direct = (w == cost) & ~own
+            order.add(np.zeros(cost.shape, dtype=int), cost, via, direct,
+                      self.sources[rows])
+        return order
+
+    @cached_property
+    def min_hop(self) -> _Order:
+        order = _Order(self.targets)
+        for rows in self._blocks():
+            # walk[s, v]: cheapest walk of exactly k links.  A node first
+            # reached at k is entered only from nodes first reached at k - 1.
+            own = self.own[rows]
+            hops = np.where(own, 0, -1)
+            cost = np.where(own, 0.0, np.inf)
+            via = np.full(cost.shape + cost.shape[1:], np.inf)
+            walk, k = self.w[rows], 1
+            direct = new = np.isfinite(walk) & (hops < 0)
+            while new.any():
+                hops[new] = k
+                cost[new] = walk[new]
+                step = (np.where(hops == k, cost, np.inf)[:, None, :]
+                        + self.w_in[None])
+                walk, k = step.min(axis=2), k + 1
+                new = np.isfinite(walk) & (hops < 0)
+                via[new] = step[new]
+            order.add(hops, cost, via, direct, self.sources[rows])
+        return order
+
+
+class RouteTable:
+    """Every route of one instance under one ``EnergyParams``.  Link costs
+    are computed once; the paths from a source are rebuilt from tight
+    predecessors when it is first asked for, and kept."""
+
+    def __init__(self, instance: NetworkInstance, params: ModelParams):
+        cost_of = {(ln.src, ln.dst): link_cost_per_bit(ln, params)
+                   for ln in instance.links}
+        networks = sorted({n.network_id for n in instance.nodes}
+                          - {OLT_NETWORK_ID})
+        self._network: dict[int, _Network] = {}
+        for net in networks:
+            table = _Network(instance, instance.network_node_ids(net), cost_of)
+            for n in table.sources.tolist():
+                self._network.setdefault(n, table)
+        self._paths: dict[tuple[str, int], dict[int, tuple[int, ...]]] = {}
+
+    def _paths_from(self, order: str, src: int) -> dict[int, tuple[int, ...]]:
+        """Every path from ``src``, settled as a Dijkstra search settles
+        them: by label, and among equal labels (zero-cost links) by path.
+        A node's tight predecessors therefore always come first, even
+        when zero-cost links make them each other's predecessors."""
+        paths = self._paths.get((order, src))
+        if paths is not None:
+            return paths
+        table = self._network[src]
+        labels: _Order = getattr(table, order)
+        i, targets = table.row[src], table.targets.tolist()
+        hops, cost, first = labels.hops[i], labels.cost[i], labels.first[i]
+        reached = sorted((hops[j], cost[j], j) for j, t in enumerate(targets)
+                         if cost[j] != np.inf and t != src)
+        paths = {src: (src,)}
+        for _, group in groupby(reached, key=lambda label: label[:2]):
+            preds = {targets[j]: labels.ties.get((i, j), (first[j],))
+                     for *_, j in group}
+            heap = [(paths[u] + (v,), v) for v, us in preds.items()
+                    for u in us if u in paths]
+            heapq.heapify(heap)
+            while heap:
+                path, v = heapq.heappop(heap)
+                if v in paths:
+                    continue
+                paths[v] = path
+                for w, us in preds.items():
+                    if w not in paths and v in us:
+                        heapq.heappush(heap, (path + (w,), w))
+        self._paths[(order, src)] = paths
+        return paths
+
+    def route(self, order: str, src: int,
+              dst: int) -> tuple[int, float, tuple[int, ...]]:
+        """(hops, cost, path) from ``src`` to ``dst`` under ``order``,
+        ``"cheapest"`` or ``"min_hop"``; hops are 0 under ``"cheapest"``."""
+        if src == dst:
+            return 0, 0.0, (src,)
+        table = self._network[src]
+        labels: _Order = getattr(table, order)
+        i, j = table.row[src], table.col.get(dst)
+        if j is None or labels.cost[i][j] == np.inf:
+            raise Unreachable(f"no path {src} -> {dst}")
+        return (labels.hops[i][j], labels.cost[i][j],
+                self._paths_from(order, src)[dst])
+
+    def reachable(self, src: int) -> list[int]:
+        """``src`` and every node a path from it reaches."""
+        table = self._network[src]
+        row = table.cheapest.cost[table.row[src]]
+        return [src] + [t for t, c in zip(table.targets.tolist(), row)
+                        if c != np.inf and t != src]
+
+
+def route_table(instance: NetworkInstance, params: ModelParams) -> RouteTable:
+    """The instance's route table for ``params.energy``, built on first
+    use.  Link costs depend on nothing else, so every scenario and
+    reduction value of one instance shares it."""
+    energy: EnergyParams = params.energy
+    table = instance.route_tables.get(energy)
+    if table is None:
+        table = instance.route_tables[energy] = RouteTable(instance, params)
+    return table
+
+
+def cheapest_paths(instance: NetworkInstance, params: ModelParams,
+                   src: int) -> dict[int, tuple[float, tuple[int, ...]]]:
     """Per-bit-cost shortest paths from ``src`` to every reachable node."""
-    res = _dijkstra(instance, params, src, allowed,
-                    key=lambda ln: (link_cost_per_bit(ln, params),))
-    return {n: (w[0], path) for n, (w, path) in res.items()}
+    table = route_table(instance, params)
+    return {dst: table.route("cheapest", src, dst)[1:]
+            for dst in table.reachable(src)}
 
 
 def cheapest_path(instance: NetworkInstance, params: ModelParams, src: int,
-                  dst: int, allowed: set[int] | None = None) -> tuple[float, tuple[int, ...]]:
-    res = cheapest_paths(instance, params, src, allowed)
-    if dst not in res:
-        raise Unreachable(f"no path {src} -> {dst}")
-    return res[dst]
+                  dst: int) -> tuple[float, tuple[int, ...]]:
+    return route_table(instance, params).route("cheapest", src, dst)[1:]
 
 
 def min_hop_path(instance: NetworkInstance, params: ModelParams, src: int,
-                 dst: int, allowed: set[int] | None = None) -> tuple[int, float, tuple[int, ...]]:
+                 dst: int) -> tuple[int, float, tuple[int, ...]]:
     """Minimum-hop path, ties broken by total per-bit cost, then by the
     smallest-node-id path.  Returns (hops, cost, path)."""
-    res = _dijkstra(instance, params, src, allowed,
-                    key=lambda ln: (1, link_cost_per_bit(ln, params)))
-    if dst not in res:
-        raise Unreachable(f"no path {src} -> {dst}")
-    (hops, cost), path = res[dst]
-    return hops, cost, path
+    return route_table(instance, params).route("min_hop", src, dst)

@@ -126,6 +126,8 @@ class NetworkInstance:
         self.nodes_by_layer: dict[LayerKind, list[Node]] = {k: [] for k in LayerKind}
         for n in nodes:
             self.nodes_by_layer[n.layer].append(n)
+        #: ``EnergyParams`` -> route table, filled by ``ponplace.routing``.
+        self.route_tables: dict = {}
 
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id]

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import ponplace as pp
 from ponplace.cli import _parse_seeds, main
+from ponplace.experiments import REDUCED_SCALE_CONFIG
 
 
 def run(capsys, *argv):
@@ -129,3 +131,58 @@ def test_out_dir_from_env(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, "generate", "--scale", "reduced")
     assert code == 0
     assert (tmp_path / "envout" / "nodes.csv").exists()
+
+
+def heuristic_line(config, scenario, reduction):
+    res = pp.run_eepiv(pp.build_instance(config),
+                       pp.ModelParams.for_scenario(scenario, reduction))
+    return f"heuristic total: {res.report.total_w:.6f} W"
+
+
+def test_config_model_section_is_used(tmp_path, capsys):
+    cfg = {"topology": {"objects_per_network": 24, "relays_per_network": 4},
+           "model": {"scenario": 3, "reduction_pct": 0.9}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, _ = run(capsys, "heuristic", "--config", str(path),
+                       "--out", str(tmp_path))
+    assert code == 0
+    assert heuristic_line(REDUCED_SCALE_CONFIG, 3, 0.9) in out
+    assert "16.696790 W" in out
+
+
+def test_flags_override_config_only_when_given(tmp_path, capsys):
+    cfg = {"topology": {"objects_per_network": 24, "relays_per_network": 4,
+                        "rng_seed": 3},
+           "model": {"scenario": 3, "reduction_pct": 0.9}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    seeded = pp.TopologyConfig(objects_per_network=24, relays_per_network=4,
+                               rng_seed=3)
+    code, out, _ = run(capsys, "heuristic", "--config", str(path),
+                       "--scenario", "1", "--out", str(tmp_path))
+    assert code == 0
+    assert heuristic_line(seeded, 1, 0.9) in out
+    code, out, _ = run(capsys, "heuristic", "--config", str(path),
+                       "--reduction", "0.5", "--seed", "7",
+                       "--out", str(tmp_path))
+    assert code == 0
+    assert heuristic_line(REDUCED_SCALE_CONFIG, 3, 0.5) in out
+
+
+def test_config_unknown_model_key_exits_1(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": {"scenaro": 3}}))
+    code, _, err = run(capsys, "heuristic", "--config", str(path),
+                       "--out", str(tmp_path))
+    assert code == 1
+    assert str(path) in err and "scenaro" in err
+
+
+def test_sweep_rejects_config(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": {"scenario": 3}}))
+    code, _, err = run(capsys, "sweep", "--config", str(path),
+                       "--out", str(tmp_path))
+    assert code == 1
+    assert "--config" in err

@@ -186,3 +186,51 @@ class TestSolutionRoundTrip:
         path.write_text("# comment\n\nIv_3_0 1\nTW_3 0.1\n")
         values = load_solution_values(path)
         assert values == {"Iv_3_0": 1.0, "TW_3": 0.1}
+
+
+class TestSolutionImportRejects:
+    """Bad solution files fail at the offending ``path:line``."""
+
+    def load_with(self, tmp_path, bad_line):
+        path = tmp_path / "sol.txt"
+        path.write_text(f"# exported\nIv_3_0 1\n{bad_line}\nTW_3 0.1\n")
+        with pytest.raises(ValueError) as exc:
+            load_solution_values(path)
+        assert f"{path}:3: " in str(exc.value)
+        return str(exc.value)
+
+    @pytest.mark.parametrize("line", ["bogus_1_2 1", "xoc_0 5000",
+                                      "xuf_0_1_2_x 1", "Iv 1"])
+    def test_unknown_variable(self, tmp_path, line):
+        assert "unknown variable" in self.load_with(tmp_path, line)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5"])
+    def test_non_finite_or_negative_value(self, tmp_path, value):
+        message = self.load_with(tmp_path, f"xoc_0_50 {value}")
+        assert "finite and >= 0" in message
+
+    @pytest.mark.parametrize("line", ["Iv_1_0 1 extra", "Iv_1_0", "H_1 one"])
+    def test_malformed_line(self, tmp_path, line):
+        message = self.load_with(tmp_path, line)
+        assert "expected 'variable value'" in message or \
+            "not a number" in message
+
+    def test_repeated_variable(self, tmp_path):
+        assert "repeats line 2" in self.load_with(tmp_path, "Iv_3_0 1")
+
+    def test_solver_round_off_and_aggregates_accepted(self, tmp_path):
+        path = tmp_path / "sol.txt"
+        path.write_text("xuf_0_1_0_1 -1e-12\nlu_0_1 5000\nxovc_0_0_1 5000\n")
+        assert load_solution_values(path)["xuf_0_1_0_1"] == -1e-12
+
+    def test_mapping_checked_too(self, chain):
+        inst, params = chain
+        with pytest.raises(ValueError, match="unknown variable 'bogus_1_2'"):
+            solution_from_values({"bogus_1_2": 1.0}, inst, params)
+        with pytest.raises(ValueError, match="finite"):
+            solution_from_values({"xoc_0_1": float("nan")}, inst, params)
+        # the chain is object 0 -> relay 1 -> ... -> OLT 5, with one VM type
+        for name in ("Iv_999_0", "Iv_1_1", "xuf_0_1_0_6", "lu_1_0",
+                     "xpf_1_1_3"):
+            with pytest.raises(ValueError, match="instance lacks"):
+                solution_from_values({name: 1.0}, inst, params)
