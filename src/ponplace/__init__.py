@@ -4,7 +4,7 @@ from .eepiv import HeuristicResult, run_eepiv
 from .experiments import (SweepError, SweepResult, SweepSpec, run_sweep,
                           savings_summary, write_placements_csv,
                           write_savings_csv, write_sweep_csv)
-from .milp import (InfeasibleError, ResourceBudgetError, SearchLimits,
+from .milp import (InfeasibleError, ResourceBudgetError,
                    build_model, emit_lp, emit_mps, solve_exact,
                    validate_solution)
 from .power import (CapacityError, EnergyParams, ModelError, ModelParams,
@@ -28,7 +28,7 @@ __all__ = [
     "total_objective",
     "PlacementSolution", "FlowAssignment",
     "build_model", "emit_lp", "emit_mps", "solve_exact", "validate_solution",
-    "SearchLimits", "ResourceBudgetError", "InfeasibleError",
+    "ResourceBudgetError", "InfeasibleError",
     "run_eepiv", "HeuristicResult",
     "SweepSpec", "SweepResult", "SweepError", "run_sweep", "savings_summary",
     "write_sweep_csv", "write_placements_csv", "write_savings_csv",

@@ -1,8 +1,8 @@
 """Batch command-line entry point.
 
 Subcommands: generate (instance CSVs), solve (exact engine), heuristic,
-export-lp, sweep, validate.  All randomness flows from --seed; flags
-override values from an optional --config JSON file.
+export-lp, sweep, validate.  All randomness flows from --seed (--seeds in
+sweep); flags override values from an optional --config JSON file.
 """
 
 from __future__ import annotations
@@ -81,9 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("heuristic", help="run the greedy engine")
     _add_engine_flags(p)
-    p.add_argument("--literal-total", action="store_true",
-                   help="report the reduced audit total (no OLT processing, "
-                        "no traffic scaling)")
 
     p = sub.add_parser("export-lp", help="write the model as an LP file")
     _add_engine_flags(p)
@@ -137,8 +134,7 @@ def _dispatch(args) -> int:
 
     if args.command == "heuristic":
         instance, params = _instance_and_params(args)
-        res = eepiv_mod.run_eepiv(instance, params,
-                                  literal_total=args.literal_total)
+        res = eepiv_mod.run_eepiv(instance, params)
         milp.write_solution_values(out / "solution.txt", res.solution,
                                    res.flows)
         print(f"heuristic total: {res.report.total_w:.6f} W "
@@ -162,13 +158,17 @@ def _dispatch(args) -> int:
         if args.config:
             raise ValueError("sweep does not read --config; give the sweep "
                              "as flags")
+        for flag, plural in (("scenario", "scenarios"),
+                             ("reduction", "reductions"), ("seed", "seeds")):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"sweep does not read --{flag}; use "
+                                 f"--{plural}")
         spec = experiments.SweepSpec(
             scenarios=tuple(int(s) for s in args.scenarios.split(",")),
             reductions=tuple(float(r) for r in args.reductions.split(",")),
             engines=tuple(args.engines or ["eepiv"]),
             seeds=(_parse_seeds(args.seeds) if args.seeds
-                   else (TopologyConfig.rng_seed if args.seed is None
-                         else args.seed,)),
+                   else (TopologyConfig.rng_seed,)),
             scale=args.scale,
             capacity_enforced=not args.no_capacity)
         result = experiments.run_sweep(spec, out_dir=out, jobs=args.jobs)

@@ -27,7 +27,7 @@ class HeuristicResult:
     served_count: int
 
 
-def _candidate_order(instance: NetworkInstance, order: str) -> list[int]:
+def _candidate_order(instance: NetworkInstance) -> list[int]:
     layer_rank = {LayerKind.RELAY: 0, LayerKind.COORDINATOR: 1,
                   LayerKind.GATEWAY: 2, LayerKind.ONU: 3}
     cand = candidate_nodes(instance)
@@ -35,25 +35,16 @@ def _candidate_order(instance: NetworkInstance, order: str) -> list[int]:
     below = sorted((c for c in cand if c != olt),
                    key=lambda c: (instance.network_of(c),
                                   layer_rank[instance.layer(c)], c))
-    if order == "bottom_up":
-        return below + [olt]
-    if order == "top_down":
-        return [olt] + below[::-1]
-    raise ValueError(f"unknown candidate order {order!r}")
+    return below + [olt]
 
 
-def run_eepiv(instance: NetworkInstance, params: ModelParams, *,
-              literal_total: bool = False,
-              candidate_order: str = "bottom_up") -> HeuristicResult:
+def run_eepiv(instance: NetworkInstance,
+              params: ModelParams) -> HeuristicResult:
     """Run the greedy placement and routing pass.
 
     Objects whose type finds no host (capacity exhaustion) are left
     unserved and excluded from ``served_count``; with the default
     parameters every object is served.
-
-    ``literal_total`` switches the reported total to the reduced audit
-    formula that omits OLT processing power and the traffic scaling
-    factor; the per-layer components are unchanged.
     """
     vm_types = params.workloads.vm_types
     networks = sorted({n.network_id for n in instance.nodes
@@ -65,7 +56,7 @@ def run_eepiv(instance: NetworkInstance, params: ModelParams, *,
     # host[(network, type)] -> candidate node serving that network's type.
     host: dict[tuple[int, int], int] = {}
     workload: dict[int, float] = {}
-    for c in _candidate_order(instance, candidate_order):
+    for c in _candidate_order(instance):
         c_net = instance.network_of(c)
         c_layer = instance.layer(c)
         nets = networks if c_net == OLT_NETWORK_ID else [c_net]
@@ -94,12 +85,5 @@ def run_eepiv(instance: NetworkInstance, params: ModelParams, *,
         path_unprocessed=lambda o, c: min_hop_path(instance, params, o, c)[2],
         path_processed=lambda c: min_hop_path(instance, params, c, olt)[2])
     report = total_objective(solution, flows, instance, params)
-    if literal_total:
-        total = sum(w for layer, w in report.processing_w.items()
-                    if layer is not LayerKind.OLT)
-        total += sum(report.traffic_w_raw.values())
-        report = PowerReport(processing_w=report.processing_w,
-                             traffic_w_raw=report.traffic_w_raw,
-                             scaling_a=report.scaling_a, total_w=total)
     return HeuristicResult(solution=solution, flows=flows, report=report,
                            served_count=len(served))

@@ -134,9 +134,7 @@ def _run_cell(key: CellKey, scale: str, capacity_enforced: bool,
     except milp.ResourceBudgetError as exc:
         return CellResult(report=None, placements=[], served_count=0,
                           wall_time_s=time.perf_counter() - start,
-                          error=f"{exc} (use --scale reduced for the exact "
-                                f"engine, or lp-export)",
-                          object_count=objects)
+                          error=str(exc), object_count=objects)
 
 
 @dataclass

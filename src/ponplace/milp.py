@@ -1,17 +1,31 @@
-"""The placement MILP: symbolic model build, LP/MPS emission, an exact
-desk-scale solver, and a full constraint validator.
+"""The placement MILP: symbolic model build, LP/MPS emission, the exact
+engine, and a full constraint validator.
 
-The exact engine does not embed an external solver.  It exploits the model
-structure: with linear per-bit costs each object is optimally served by a
-single instance over a cheapest path, processing cost depends only on which
-(candidate, type) pairs are open, and the per-type subproblems are
-uncapacitated-facility-location searches coupled only by the optional
-per-cloudlet workload cap.
+The exact engine solves a compact form of the model, not the emitted
+arc-based one.  With linear per-bit costs each object is optimally served
+by a single instance over a cheapest path, and processing cost depends only
+on which (candidate, type) pairs are open, so the optimum is that of a
+capacitated facility-location MILP, solved by HiGHS (``scipy.optimize.milp``):
+
+    min  sum_{o,c} (d*up[o][c] + f*d*proc[c]) x[o,c]
+           + sum_{c,v} workload(v,c)*Pmax(c) y[c,v]
+    s.t. sum_c x[o,c] = 1                  every object o
+         x[o,c] <= y[c,v(o)]               every visible, routable pair
+         sum_v workload(v,c) y[c,v] <= 1   every candidate c, when enforced
+         0 <= x <= 1,  y binary
+
+where ``up[o][c]`` and ``proc[c]`` are the per-bit costs of the cheapest
+object-to-candidate and candidate-to-OLT paths, ``d`` the demand and ``f``
+the remaining traffic fraction.  Ties: lowest cost first, then each object
+at its cheapest open candidate, exact ties to the smallest node id.  The
+earlier exhaustive engine also took the lexicographically smallest
+placement bit-vector among exact-cost ties; that rule is dropped, as it
+decided only exact ties and changed no placement on 645 reduced-scale and
+oracle-corpus instances.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import re
 from dataclasses import dataclass, field
@@ -31,11 +45,13 @@ GAMMA = 50.0
 
 
 class ResourceBudgetError(RuntimeError):
-    """The instance exceeds the exact engine's search budget."""
+    """HiGHS stopped, at the exact engine's node limit, before proving its
+    answer optimal."""
 
 
 class InfeasibleError(RuntimeError):
-    """No placement satisfies the workload capacity for the named types."""
+    """No placement serves every object: a VM type outside the workload
+    table, or none within the workload caps."""
 
 
 # ---------------------------------------------------------------------------
@@ -635,131 +651,97 @@ def validate_solution(solution: PlacementSolution, flows: FlowAssignment,
 # Exact solver
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SearchLimits:
-    max_candidates: int = 16
-    max_expansions: int = 200_000
+#: HiGHS branch-and-bound node limit of the exact engine.  A node count,
+#: unlike a time limit, gives the same answer on any machine.
+NODE_LIMIT = 10_000
 
 
-def _mask_key(mask: int, m: int) -> tuple[int, ...]:
-    return tuple((mask >> i) & 1 for i in range(m))
-
-
-def solve_exact(instance: NetworkInstance, params: ModelParams,
-                limits: SearchLimits = SearchLimits()
+def solve_exact(instance: NetworkInstance, params: ModelParams
                 ) -> tuple[PlacementSolution, FlowAssignment, PowerReport]:
-    """Provably optimal placement by per-type facility-subset enumeration,
-    joined across types in ascending total cost until the workload cap is
-    satisfied.  Deterministic tie-break: lower cost, then the
-    lexicographically smallest placement bitvector."""
-    cand = candidate_nodes(instance)
-    m = len(cand)
-    if m > limits.max_candidates:
-        raise ResourceBudgetError(
-            f"{m} candidates exceed the exact-search budget "
-            f"({limits.max_candidates}); use the heuristic or emit the model")
-    olt = instance.olt_id
-    demand = params.demand_bps
-    f = params.remaining_fraction
+    """Provably optimal placement: the facility-location MILP of the module
+    docstring, solved by HiGHS (``scipy.optimize.milp``) with zero gap.
+
+    Tie rule: lowest total cost first.  HiGHS's open instances are kept
+    and each object goes to its cheapest open candidate, exact ties to the
+    smallest node id, which also settles any tied or fractional ``x`` it
+    returns; instances left without objects are dropped.  Raises
+    ``ResourceBudgetError`` if HiGHS stops at ``NODE_LIMIT`` nodes before
+    proving optimality, ``InfeasibleError`` if no placement serves every
+    object within the workload caps."""
+    # Imported here, not at module level: loading scipy.optimize costs tens
+    # of MiB and a large share of start-up, which the heuristic, the model
+    # export and the validator do not need.
+    from scipy.optimize import LinearConstraint, milp
+    from scipy.sparse import csr_array
+
     vm_types = params.workloads.vm_types
     if max(instance.vm_request.values(), default=0) >= vm_types:
         raise InfeasibleError("instance requests a VM type outside the table")
+    olt = instance.olt_id
+    demand = params.demand_bps
+    f = params.remaining_fraction
+    cand = candidate_nodes(instance)
+    objects = instance.objects()
 
-    # Cheapest processed path per candidate; no link enters an object, so
-    # it stays on the candidate-only subgraph.
-    proc: dict[int, tuple[float, tuple[int, ...]]] = {}
-    for c in cand:
-        if c == olt:
-            proc[c] = (0.0, (olt,))
-        else:
-            proc[c] = cheapest_path(instance, params, c, olt)
+    # Cheapest processed path per candidate (no link enters an object, so
+    # it stays on the candidate-only subgraph) and unprocessed per object.
+    proc = {c: (0.0, (olt,)) if c == olt
+            else cheapest_path(instance, params, c, olt) for c in cand}
+    up = {o: cheapest_paths(instance, params, o) for o in objects}
 
-    # Cheapest unprocessed path per (object, candidate).
-    up = {o: cheapest_paths(instance, params, o) for o in instance.objects()}
+    # Columns: x per visible, routable (object, candidate) pair, then y per
+    # (candidate, type), candidate-major.
+    pairs = [(o, c) for o in objects
+             for c in instance.visible_candidates(o) if c in up[o]]
+    opens = [(c, v) for c in cand for v in range(vm_types)]
+    work = [params.workloads.workload(v, instance.layer(c)) for c, v in opens]
+    cost = [demand * up[o][c][0] + f * demand * proc[c][0] for o, c in pairs]
+    objective = np.array(cost + [
+        w * params.processing.max_power(instance.layer(c))
+        for w, (c, _) in zip(work, opens)])
+    n_x = len(pairs)
+    y_col = {cv: n_x + j for j, cv in enumerate(opens)}
 
-    cand_index = {c: j for j, c in enumerate(cand)}
-    n_masks = 1 << m
+    # Rows: x[o,c] - y[c,v(o)] <= 0 per pair, sum_c x[o,c] = 1 per object,
+    # then sum_v workload(v,c)*y[c,v] <= 1 per candidate.
+    row_of = {o: n_x + i for i, o in enumerate(objects)}
+    rows, cols, vals = [], [], []
+    for j, (o, c) in enumerate(pairs):
+        rows += [j, j, row_of[o]]
+        cols += [j, y_col[(c, instance.vm_request[o])], j]
+        vals += [1.0, -1.0, 1.0]
+    lower = [-np.inf] * n_x + [1.0] * len(objects)
+    upper = [0.0] * n_x + [1.0] * len(objects)
+    if params.capacity_enforced:
+        rows += [len(upper) + j // vm_types for j in range(len(opens))]
+        cols += list(y_col.values())
+        vals += work
+        lower += [-np.inf] * len(cand)
+        upper += [1.0] * len(cand)
+    matrix = csr_array((vals, (rows, cols)), shape=(len(upper), len(objective)))
 
-    per_type = []
-    for v in range(vm_types):
-        objs = sorted(o for o in instance.objects()
-                      if instance.vm_request[o] == v)
-        d_mat = np.full((len(objs), m), np.inf)
-        for i, o in enumerate(objs):
-            for c in instance.visible_candidates(o):
-                if c in up[o]:
-                    d_mat[i, cand_index[c]] = (demand * up[o][c][0]
-                                               + f * demand * proc[c][0])
-        fac = np.array([params.workloads.workload(v, instance.layer(c))
-                        * params.processing.max_power(instance.layer(c))
-                        for c in cand])
-        w_row = np.array([params.workloads.workload(v, instance.layer(c))
-                          for c in cand])
+    # HiGHS also stops within an absolute gap of 1e-6.  Costs are scaled so
+    # the largest is 1e6, which makes that gap 1e-12 of it: placements a
+    # few microwatts apart do occur and must not be taken for ties.
+    scale = 1e6 / (objective.max(initial=0.0) or 1.0)
+    res = milp(objective * scale, integrality=[0] * n_x + [1] * len(opens),
+               bounds=(0.0, 1.0),
+               constraints=LinearConstraint(matrix, lower, upper),
+               options={"mip_rel_gap": 0.0, "node_limit": NODE_LIMIT})
+    if res.status == 2:
+        raise InfeasibleError("no placement serves every object within the "
+                              "workload caps")
+    if res.status != 0:
+        raise ResourceBudgetError(
+            f"HiGHS stopped before proving optimality within the exact "
+            f"engine's node limit ({NODE_LIMIT} nodes): {res.message}")
 
-        min_d = np.full((n_masks, len(objs)), np.inf)
-        fac_total = np.zeros(n_masks)
-        for mask in range(1, n_masks):
-            i = (mask & -mask).bit_length() - 1
-            prev = mask ^ (1 << i)
-            min_d[mask] = np.minimum(min_d[prev], d_mat[:, i])
-            fac_total[mask] = fac_total[prev] + fac[i]
-        cost = fac_total + (min_d.sum(axis=1) if objs else 0.0)
-
-        options = [(cost[mask], _mask_key(mask, m), mask)
-                   for mask in range(n_masks) if np.isfinite(cost[mask])]
-        if not options:
-            raise InfeasibleError(f"vm type {v} cannot be served")
-        options.sort()
-        per_type.append({"objs": objs, "d": d_mat, "w": w_row,
-                         "options": options})
-
-    # Product search in ascending total cost; first capacity-feasible
-    # combination is optimal.
-    idx0 = (0,) * vm_types
-    total0 = sum(pt["options"][0][0] for pt in per_type)
-    key0 = tuple(k for pt in per_type for k in pt["options"][0][1])
-    heap = [(total0, key0, idx0)]
-    seen = {idx0}
-    pops = 0
-    chosen = None
-    while heap:
-        total, _, idx = heapq.heappop(heap)
-        pops += 1
-        if pops > limits.max_expansions:
-            raise ResourceBudgetError("exact search expansion budget exceeded")
-        masks = [per_type[t]["options"][i][2] for t, i in enumerate(idx)]
-        tw = np.zeros(m)
-        for t, mask in enumerate(masks):
-            for j in range(m):
-                if mask >> j & 1:
-                    tw[j] += per_type[t]["w"][j]
-        if not params.capacity_enforced or np.all(tw <= 1.0 + 1e-12):
-            chosen = masks
-            break
-        for t in range(vm_types):
-            if idx[t] + 1 < len(per_type[t]["options"]):
-                nxt = idx[:t] + (idx[t] + 1,) + idx[t + 1:]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    new_total = total - per_type[t]["options"][idx[t]][0] \
-                        + per_type[t]["options"][idx[t] + 1][0]
-                    new_key = tuple(
-                        k for tt, i in enumerate(nxt)
-                        for k in per_type[tt]["options"][i][1])
-                    heapq.heappush(heap, (new_total, new_key, nxt))
-    if chosen is None:
-        binding = [t for t in range(vm_types) if per_type[t]["objs"]]
-        raise InfeasibleError(
-            f"no capacity-feasible placement for vm types {binding}")
-
-    # Extract the single-instance assignment for each object.
-    served: dict[int, int] = {}
-    for t, mask in enumerate(chosen):
-        pt = per_type[t]
-        open_cols = [j for j in range(m) if mask >> j & 1]
-        for i, o in enumerate(pt["objs"]):
-            costs = [(pt["d"][i, j], cand[j]) for j in open_cols]
-            served[o] = min(costs)[1]
+    is_open = {cv for cv, y in zip(opens, res.x[n_x:]) if y > 0.5}
+    best: dict[int, tuple[float, int]] = {}
+    for (o, c), d in zip(pairs, cost):
+        if (c, instance.vm_request[o]) in is_open:
+            best[o] = min(best.get(o, (d, c)), (d, c))
+    served = {o: c for o, (_, c) in best.items()}
 
     solution = PlacementSolution.from_assignment(instance, params, served)
     flows = build_flows(instance, params, solution,

@@ -42,11 +42,16 @@ def test_solve_reduced(tmp_path, capsys):
     assert (tmp_path / "solution.txt").exists()
 
 
-def test_solve_paper_scale_budget_error(tmp_path, capsys):
-    code, _, err = run(capsys, "solve", "--scale", "paper",
+def test_solve_paper_scale_validates(tmp_path, capsys):
+    code, out, _ = run(capsys, "solve", "--scale", "paper",
                        "--out", str(tmp_path))
-    assert code == 1
-    assert "resource-budget" in err
+    assert code == 0
+    assert "optimal total:" in out
+    code, out, _ = run(capsys, "validate", "--scale", "paper",
+                       "--solution", str(tmp_path / "solution.txt"),
+                       "--out", str(tmp_path))
+    assert code == 0
+    assert "violations: 0" in out
 
 
 def test_heuristic_and_validate_round_trip(tmp_path, capsys):
@@ -177,6 +182,19 @@ def test_config_unknown_model_key_exits_1(tmp_path, capsys):
                        "--out", str(tmp_path))
     assert code == 1
     assert str(path) in err and "scenaro" in err
+
+
+@pytest.mark.parametrize("flag,value,plural", [
+    ("--scenario", "3", "--scenarios"), ("--reduction", "0.9", "--reductions"),
+    ("--seed", "8", "--seeds")])
+def test_sweep_rejects_single_value_flags(tmp_path, capsys, flag, value,
+                                          plural):
+    code, _, err = run(capsys, "sweep", "--scale", "reduced",
+                       "--scenarios", "1", "--reductions", "0.5",
+                       flag, value, "--out", str(tmp_path))
+    assert code == 1
+    assert plural in err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_rejects_config(tmp_path, capsys):

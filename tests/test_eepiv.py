@@ -77,24 +77,3 @@ def test_deterministic(paper_instance):
     assert a.report.total_w == b.report.total_w
     assert a.flows.upt == b.flows.upt
 
-
-def test_top_down_order_differs(paper_instance):
-    params = ModelParams.for_scenario(1, 0.5)
-    up = run_eepiv(paper_instance, params)
-    down = run_eepiv(paper_instance, params, candidate_order="top_down")
-    assert down.solution.placed != up.solution.placed
-    assert set(down.solution.placed_layers()) == {LayerKind.OLT}
-    with pytest.raises(ValueError):
-        run_eepiv(paper_instance, params, candidate_order="sideways")
-
-
-def test_literal_total_drops_olt_processing_and_scaling(paper_instance):
-    params = ModelParams.for_scenario(1, 0.5)
-    full = run_eepiv(paper_instance, params)
-    lit = run_eepiv(paper_instance, params, literal_total=True)
-    assert lit.solution.placed == full.solution.placed
-    expected = sum(w for layer, w in full.report.processing_w.items()
-                   if layer is not LayerKind.OLT)
-    expected += sum(full.report.traffic_w_raw.values())
-    assert lit.report.total_w == pytest.approx(expected, rel=1e-12)
-    assert lit.report.total_w < full.report.total_w

@@ -1,12 +1,21 @@
 import dataclasses
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+import scipy.optimize
 
 import ponplace as pp
-from ponplace.milp import (InfeasibleError, ResourceBudgetError, SearchLimits,
-                           solve_exact, validate_solution)
+from ponplace import milp
+from ponplace.milp import (InfeasibleError, ResourceBudgetError, solve_exact,
+                           validate_solution)
 from ponplace.power import ModelParams
+from ponplace.routing import cheapest_path, cheapest_paths
 from ponplace.topology import LayerKind, RelayLayout
 
 from oracle import brute_force_optimum, corpus_case, joint_brute_force_optimum
@@ -24,6 +33,19 @@ def test_matches_oracle_on_random_cases():
     rng = random.Random(2024)
     for _ in range(8):
         inst, params = corpus_case(rng)
+        _, _, report = solve_exact(inst, params)
+        assert report.total_w == pytest.approx(
+            brute_force_optimum(inst, params), rel=1e-9)
+
+
+def test_microwatt_near_ties_match_oracle():
+    # At 1/1000 of the demand, placements differ by nanowatts to microwatts,
+    # inside HiGHS's absolute gap of 1e-6 unless the costs are scaled.
+    rng = random.Random(20240817)
+    for _ in range(40):
+        inst, params = corpus_case(rng)
+        params = dataclasses.replace(params,
+                                     demand_bps=params.demand_bps * 1e-3)
         _, _, report = solve_exact(inst, params)
         assert report.total_w == pytest.approx(
             brute_force_optimum(inst, params), rel=1e-9)
@@ -79,19 +101,23 @@ def test_capacity_toggle_never_hurts():
     assert free.total_w <= capped.total_w + 1e-12
 
 
-def test_budget_guard_on_full_scale(paper_instance):
+def test_paper_scale_validates(paper_instance):
     params = ModelParams.for_scenario(1, 0.5)
-    with pytest.raises(ResourceBudgetError):
-        solve_exact(paper_instance, params)
+    sol, flows, report = solve_exact(paper_instance, params)
+    check = validate_solution(sol, flows, paper_instance, params)
+    assert check.violations == []
+    assert check.objective_w == pytest.approx(report.total_w, rel=1e-9)
 
 
-def test_expansion_budget():
+def test_expansion_budget(monkeypatch):
+    # the node limit is the budget; at 0 nodes HiGHS cannot prove anything
     cfg = pp.TopologyConfig(networks=1, objects_per_network=3,
                             relays_per_network=1, vm_types=3)
     inst = pp.build_instance(cfg)
     params = ModelParams.for_scenario(2, 0.5, vm_types=3, demand_bps=1e6)
-    with pytest.raises(ResourceBudgetError):
-        solve_exact(inst, params, SearchLimits(max_expansions=1))
+    monkeypatch.setattr(milp, "NODE_LIMIT", 0)
+    with pytest.raises(ResourceBudgetError, match="node limit"):
+        solve_exact(inst, params)
 
 
 def test_unknown_vm_type_rejected(minimal_chain):
@@ -101,6 +127,38 @@ def test_unknown_vm_type_rejected(minimal_chain):
                              {o: 5 for o in minimal_chain.objects()})
     with pytest.raises(InfeasibleError):
         solve_exact(bad, params)
+
+
+def test_capacity_infeasible_rejected(minimal_chain):
+    params = ModelParams.for_scenario(1, 0.5, vm_types=1)
+    heavy = dataclasses.replace(params, workloads=pp.WorkloadTable(
+        {(0, layer): 2.0 for layer in LayerKind
+         if layer is not LayerKind.OBJECT}, vm_types=1))
+    with pytest.raises(InfeasibleError):
+        solve_exact(minimal_chain, heavy)
+    _, _, report = solve_exact(
+        minimal_chain, dataclasses.replace(heavy, capacity_enforced=False))
+    assert report.total_w > 0
+
+
+def test_objects_go_to_their_cheapest_open_candidate(monkeypatch):
+    # a solver answer opening every instance, with meaningless x, must
+    # still put each object at its cheapest visible candidate
+    cfg = pp.TopologyConfig(networks=2, objects_per_network=4,
+                            relays_per_network=3, relay_layout=RelayLayout.LINE,
+                            vm_types=2, rng_seed=5)
+    inst = pp.build_instance(cfg)
+    params = ModelParams.for_scenario(1, 0.5, vm_types=2)
+    monkeypatch.setattr(scipy.optimize, "milp", lambda c, **_: SimpleNamespace(
+        status=0, x=np.ones(len(c))))
+    sol, _, _ = solve_exact(inst, params)
+    d, f, olt = params.demand_bps, params.remaining_fraction, inst.olt_id
+    for o in inst.objects():
+        up = cheapest_paths(inst, params, o)
+        cost = {c: d * up[c][0] + f * d * (
+                    0.0 if c == olt else cheapest_path(inst, params, c, olt)[0])
+                for c in inst.visible_candidates(o) if c in up}
+        assert sol.assignment[o] == [(min(cost, key=lambda c: (cost[c], c)), d)]
 
 
 def test_deterministic():
@@ -121,3 +179,12 @@ def test_empty_network_costs_nothing():
     sol, flows, report = solve_exact(inst, params)
     assert sol.placed == frozenset()
     assert report.total_w == 0.0
+
+
+def test_import_does_not_load_scipy():
+    # solve_exact imports scipy on first use; the heuristic never pays it
+    code = ("import ponplace, sys; "
+            "assert not any(m.startswith('scipy') for m in sys.modules)")
+    src = str(Path(pp.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})

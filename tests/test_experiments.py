@@ -86,13 +86,18 @@ def test_parallel_matches_serial():
             replace(parallel.cells[key], wall_time_s=0.0)
 
 
-def test_exact_engine_budget_error_is_recorded():
-    spec = SweepSpec(scenarios=(1,), reductions=(0.5,), engines=("exact",),
-                     seeds=(7,), scale="paper")
+def test_exact_engine_runs_at_paper_scale():
+    # criterion 2 (the heuristic never beats the optimum) at paper scale
+    spec = SweepSpec(scenarios=(1, 2, 3), reductions=(0.1, 0.5, 0.9),
+                     engines=("exact", "eepiv"), seeds=(1, 7), scale="paper")
     result = run_sweep(spec)
-    cell = result.cell(1, 0.5, "exact", 7)
-    assert cell.report is None
-    assert "reduced" in cell.error
+    for key, exact in result.cells.items():
+        if key.engine != "exact":
+            continue
+        assert exact.error is None
+        assert exact.served_count == exact.object_count
+        eepiv = result.cell(key.scenario, key.reduction, "eepiv", key.seed)
+        assert exact.report.total_w <= eepiv.report.total_w
 
 
 def test_lp_export_engine(tmp_path):
