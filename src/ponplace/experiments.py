@@ -181,9 +181,13 @@ def run_sweep(spec: SweepSpec, out_dir: str | Path | None = None,
 def savings_summary(result: SweepResult, engine: str | None = None) -> list[dict]:
     """Relative total-power saving of scenario 1 vs scenarios 2 and 3,
     seed-averaged, both summed over the reduction set and per reduction.
-    Requires all three scenarios for the chosen engine(s)."""
-    engines = [engine] if engine else \
-        [e for e in result.spec.engines if e != "lp-export"]
+    Requires all three scenarios for the chosen engine(s), and an engine
+    that reports power: ``lp-export`` writes models only."""
+    engines = [e for e in ([engine] if engine else result.spec.engines)
+               if e != "lp-export"]
+    if not engines:
+        raise SweepError("no engine in the sweep reports power; lp-export "
+                         "writes models only")
     rows: list[dict] = []
     for eng in engines:
         missing = [sc for sc in (1, 2, 3) if sc not in result.spec.scenarios]

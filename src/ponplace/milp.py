@@ -29,11 +29,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .power import ModelParams, PowerReport, total_objective
+from .power import (ModelParams, PowerReport, link_cost_per_bit,
+                    total_objective)
 from .routing import cheapest_path, cheapest_paths
 from .solution import FlowAssignment, PlacementSolution, build_flows
 from .topology import (LayerKind, NetworkInstance, OLT_NETWORK_ID,
@@ -111,18 +113,51 @@ def build_model(instance: NetworkInstance, params: ModelParams) -> MilpModel:
     cn = set(cand)
     vm_types = params.workloads.vm_types
     f = params.remaining_fraction
+    objects = instance.objects()
+    visible = {o: instance.visible_candidates(o) for o in objects}
 
     variables: dict[str, Variable] = {}
     objective: dict[str, float] = {}
     rows: list[Row] = []
 
     def var(name: str, kind: str = "continuous") -> str:
-        if name not in variables:
-            variables[name] = Variable(name, kind)
+        variables[name] = Variable(name, kind)
         return name
 
     def row(name, coeffs, sense, rhs) -> None:
         rows.append(Row(name, coeffs, sense, rhs))
+
+    def flow_graph(nodes: set[int]):
+        """``_src_dst`` of each link among ``nodes``, and per node in id
+        order the positions in that list of its outgoing and incoming ones."""
+        links = [ln for ln in instance.links
+                 if ln.src in nodes and ln.dst in nodes]
+        at = {(ln.src, ln.dst): i for i, ln in enumerate(links)}
+        return [f"_{ln.src}_{ln.dst}" for ln in links], [
+            (x, [at[x, ln.dst] for ln in instance.out_links[x] if ln.dst in nodes],
+             [at[ln.src, x] for ln in instance.in_links[x] if ln.src in nodes])
+            for x in sorted(nodes)]
+
+    def commodity(prefix, row_prefix, graph, source, sink, rate) -> list[str]:
+        """A commodity's link variables and conservation rows: ``rate``
+        leaves ``source`` and reaches ``sink``."""
+        names = [var(prefix + s) for s in graph[0]]
+        for x, outs, ins in graph[1]:
+            coeffs = dict.fromkeys([names[i] for i in outs], 1.0)
+            coeffs.update(dict.fromkeys([names[i] for i in ins], -1.0))
+            if x == source or x == sink:
+                coeffs[rate] = -1.0 if x == source else 1.0
+            row(f"{row_prefix}{x}", coeffs, "=", 0.0)
+        return names
+
+    def aggregate(family, totals, commodities, graphs) -> None:
+        """Each link's total variable is the sum of its commodities'."""
+        along: dict[str, tuple[str, ...]] = {}
+        for net, names in commodities.items():
+            along.update(zip(graphs[net][0], zip(*names)))
+        for s, total in totals.items():
+            row(family + s, {total: 1.0, **dict.fromkeys(along.get(s, ()), -1.0)},
+                "=", 0.0)
 
     # Placement binaries and workloads for every (candidate, type) pair.
     for c in cand:
@@ -131,113 +166,67 @@ def build_model(instance: NetworkInstance, params: ModelParams) -> MilpModel:
         for v in range(vm_types):
             var(f"Iv_{c}_{v}", "binary")
 
-    # Per-network link sets for commodity expansion.
+    # Per-network node orders and link sets, shared by every commodity.
     net_ids = sorted({n.network_id for n in instance.nodes
                       if n.network_id != OLT_NETWORK_ID})
     net_nodes = {net: set(instance.network_node_ids(net)) for net in net_ids}
-    net_links = {net: [ln for ln in instance.links
-                       if ln.src in net_nodes[net] and ln.dst in net_nodes[net]]
-                 for net in net_ids}
-
-    from .power import link_cost_per_bit
+    graph_u = {net: flow_graph(net_nodes[net]) for net in net_ids}
+    graph_p = {net: flow_graph((net_nodes[net] & cn) | {olt})
+               for net in net_ids}
 
     # Aggregate per-link traffic variables carry the whole traffic objective.
+    lu, lp = {}, {}  # "_src_dst" -> the link's aggregate variables
     for ln in instance.links:
-        cost = link_cost_per_bit(ln, params)
-        objective[var(f"lu_{ln.src}_{ln.dst}")] = cost
+        s = f"_{ln.src}_{ln.dst}"
+        lu[s] = var("lu" + s)
+        objective[lu[s]] = link_cost_per_bit(ln, params)
         if ln.src in cn and ln.dst in cn:
-            objective[var(f"lp_{ln.src}_{ln.dst}")] = cost
+            lp[s] = var("lp" + s)
+            objective[lp[s]] = objective[lu[s]]
     for c in cand:
         objective[f"TW_{c}"] = params.processing.max_power(instance.layer(c))
 
     # (13)/(14): demand split and per-cloudlet totals.
-    for o in instance.objects():
+    xovc, xoc = {}, {}  # (object, candidate) -> variable
+    senders: dict[tuple[int, int], list[str]] = {}  # (c, v) -> xovc variables
+    for o in objects:
         v = instance.vm_request[o]
-        visible = instance.visible_candidates(o)
-        row(f"d13_{o}",
-            {var(f"xovc_{o}_{v}_{c}"): 1.0 for c in visible}, "=",
+        xovc.update({(o, c): var(f"xovc_{o}_{v}_{c}") for c in visible[o]})
+        row(f"d13_{o}", {xovc[o, c]: 1.0 for c in visible[o]}, "=",
             params.demand_bps)
-        for c in visible:
-            row(f"a14_{o}_{c}",
-                {var(f"xoc_{o}_{c}"): 1.0, f"xovc_{o}_{v}_{c}": -1.0},
-                "=", 0.0)
+        for c in visible[o]:
+            xoc[o, c] = var(f"xoc_{o}_{c}")
+            row(f"a14_{o}_{c}", {xoc[o, c]: 1.0, xovc[o, c]: -1.0}, "=", 0.0)
+            senders.setdefault((c, v), []).append(xovc[o, c])
 
     # (15)/(16): unprocessed per-commodity conservation and aggregation.
-    agg_u: dict[tuple[int, int], list[str]] = {}
-    for o in instance.objects():
+    flows_u: dict[int, list[list[str]]] = {net: [] for net in net_ids}
+    for o in objects:
         net = instance.network_of(o)
-        for c in instance.visible_candidates(o):
-            for ln in net_links[net]:
-                name = var(f"xuf_{o}_{c}_{ln.src}_{ln.dst}")
-                agg_u.setdefault((ln.src, ln.dst), []).append(name)
-            for x in sorted(net_nodes[net]):
-                coeffs: dict[str, float] = {}
-                for ln in instance.out_links[x]:
-                    if ln.dst in net_nodes[net]:
-                        coeffs[f"xuf_{o}_{c}_{x}_{ln.dst}"] = 1.0
-                for ln in instance.in_links[x]:
-                    if ln.src in net_nodes[net]:
-                        coeffs[f"xuf_{o}_{c}_{ln.src}_{x}"] = -1.0
-                if x == o:
-                    coeffs[f"xoc_{o}_{c}"] = -1.0
-                elif x == c:
-                    coeffs[f"xoc_{o}_{c}"] = 1.0
-                row(f"fc15_{o}_{c}_{x}", coeffs, "=", 0.0)
-    for ln in instance.links:
-        coeffs = {f"lu_{ln.src}_{ln.dst}": 1.0}
-        for name in agg_u.get((ln.src, ln.dst), []):
-            coeffs[name] = -1.0
-        row(f"ag16_{ln.src}_{ln.dst}", coeffs, "=", 0.0)
+        for c in visible[o]:
+            flows_u[net].append(commodity(f"xuf_{o}_{c}", f"fc15_{o}_{c}_",
+                                          graph_u[net], o, c, xoc[o, c]))
+    aggregate("ag16", lu, flows_u, graph_u)
 
     # (17)-(19): traffic reduction and processed-commodity conservation.
-    agg_p: dict[tuple[int, int], list[str]] = {}
+    flows_p: dict[int, list[list[str]]] = {net: [] for net in net_ids}
     for c in cand:
         if c == olt:
             continue
         net = instance.network_of(c)
-        coeffs = {var(f"xpc_{c}"): 1.0}
-        for o in instance.objects():
-            if instance.network_of(o) == net:
-                coeffs[f"xoc_{o}_{c}"] = -f
-        row(f"red17_{c}", coeffs, "=", 0.0)
-        cn_net = (net_nodes[net] & cn) | {olt}
-        cn_links = [ln for ln in net_links[net]
-                    if ln.src in cn_net and ln.dst in cn_net]
-        for ln in cn_links:
-            name = var(f"xpf_{c}_{ln.src}_{ln.dst}")
-            agg_p.setdefault((ln.src, ln.dst), []).append(name)
-        for x in sorted(cn_net):
-            coeffs = {}
-            for ln in instance.out_links[x]:
-                if ln.dst in cn_net:
-                    coeffs[f"xpf_{c}_{x}_{ln.dst}"] = 1.0
-            for ln in instance.in_links[x]:
-                if ln.src in cn_net:
-                    coeffs[f"xpf_{c}_{ln.src}_{x}"] = -1.0
-            if x == c:
-                coeffs[f"xpc_{c}"] = -1.0
-            elif x == olt:
-                coeffs[f"xpc_{c}"] = 1.0
-            row(f"fc18_{c}_{x}", coeffs, "=", 0.0)
-    for ln in instance.links:
-        if ln.src in cn and ln.dst in cn:
-            coeffs = {f"lp_{ln.src}_{ln.dst}": 1.0}
-            for name in agg_p.get((ln.src, ln.dst), []):
-                coeffs[name] = -1.0
-            row(f"ag19_{ln.src}_{ln.dst}", coeffs, "=", 0.0)
+        xpc = var(f"xpc_{c}")
+        row(f"red17_{c}", {xpc: 1.0, **{xoc[o, c]: -f for o in objects
+                                        if (o, c) in xoc}}, "=", 0.0)
+        flows_p[net].append(commodity(f"xpf_{c}", f"fc18_{c}_", graph_p[net],
+                                      c, olt, xpc))
+    aggregate("ag19", lp, flows_p, graph_p)
 
     # (20)-(24): placement linking, cloudlet opening, workload bookkeeping.
     for c in cand:
         for v in range(vm_types):
-            senders = [o for o in instance.objects()
-                       if instance.vm_request[o] == v
-                       and c in instance.visible_candidates(o)]
-            coeffs = {f"xovc_{o}_{v}_{c}": 1.0 for o in senders}
-            coeffs[f"Iv_{c}_{v}"] = -1.0
-            row(f"lo20_{c}_{v}", coeffs, ">=", 0.0)
-            coeffs = {f"xovc_{o}_{v}_{c}": 1.0 for o in senders}
-            coeffs[f"Iv_{c}_{v}"] = -BETA_BPS
-            row(f"hi21_{c}_{v}", coeffs, "<=", 0.0)
+            sent = dict.fromkeys(senders.get((c, v), []), 1.0)
+            row(f"lo20_{c}_{v}", {**sent, f"Iv_{c}_{v}": -1.0}, ">=", 0.0)
+            row(f"hi21_{c}_{v}", {**sent, f"Iv_{c}_{v}": -BETA_BPS}, "<=", 0.0)
         iv = {f"Iv_{c}_{v}": 1.0 for v in range(vm_types)}
         row(f"cl22_{c}", {**iv, f"H_{c}": -1.0}, ">=", 0.0)
         row(f"cl23_{c}", {**iv, f"H_{c}": -GAMMA}, "<=", 0.0)
@@ -254,81 +243,92 @@ def build_model(instance: NetworkInstance, params: ModelParams) -> MilpModel:
 # LP / MPS emission
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+class _Text(dict):
+    """``make(x)`` of each distinct number ``x``, made once; zeros each
+    time, as 0.0 and -0.0 are one key but print differently."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, x: float) -> str:
+        return self.setdefault(x, self.make(x)) if x else self.make(x)
+
+
+def _write(path: Path, pieces) -> Path:
+    """Write newline-terminated text through one handle, in chunks."""
+    pieces = iter(pieces)
+    with open(path, "w") as fh:
+        while chunk := list(islice(pieces, 8192)):
+            fh.write("".join(chunk))
+    return path
 
 
 def emit_lp(model: MilpModel, path: str | Path, name_map: bool = True) -> Path:
     """Write the model in CPLEX LP format (one constraint per line) and a
     companion ``<path>.names`` variable map."""
-    path = Path(path)
-    lines = ["\\ placement model", "Minimize"]
-    terms = [f"{_fmt(c)} {n}" for n, c in sorted(model.objective.items()) if c]
-    lines.append(" obj: " + " + ".join(terms))
-    lines.append("Subject To")
-    sense_txt = {"=": "=", "<=": "<=", ">=": ">="}
-    for row in model.rows:
-        parts = []
-        for name, coef in sorted(row.coeffs.items()):
-            if coef == 0.0:
-                continue
-            sign = "-" if coef < 0 else "+"
-            parts.append(f"{sign} {_fmt(abs(coef))} {name}")
-        body = " ".join(parts).lstrip("+ ") or "0 nothing"
-        lines.append(f" {row.name}: {body} {sense_txt[row.sense]} {_fmt(row.rhs)}")
-    lines.append("Bounds")  # defaults: continuous >= 0, binaries in section
-    lines.append("Binary")
-    for v in sorted(model.variables):
-        if model.variables[v].kind == "binary":
-            lines.append(f" {v}")
-    lines.append("End")
-    path.write_text("\n".join(lines) + "\n")
+    names = sorted(model.variables)
+    path = _write(Path(path), _lp_lines(model, names))
     if name_map:
-        with open(path.with_suffix(path.suffix + ".names"), "w") as fh:
-            for v in sorted(model.variables):
-                fh.write(f"{v}\t{model.variables[v].kind}\n")
+        _write(path.with_suffix(path.suffix + ".names"),
+               (f"{v}\t{model.variables[v].kind}\n" for v in names))
     return path
+
+
+def _lp_lines(model: MilpModel, names: list[str]):
+    number = _Text("{:.12g}".format)
+    term = _Text(lambda c: f"{'-' if c < 0 else '+'} {abs(c):.12g} ")
+    terms = [f"{number[c]} {n}" for n, c in sorted(model.objective.items()) if c]
+    yield ("\\ placement model\nMinimize\n obj: " + " + ".join(terms)
+           + "\nSubject To\n")
+    for row in model.rows:
+        body = " ".join([term[coef] + name for name, coef
+                         in sorted(row.coeffs.items()) if coef != 0.0])
+        yield (f" {row.name}: {body.lstrip('+ ') or '0 nothing'} "
+               f"{row.sense} {number[row.rhs]}\n")
+    yield "Bounds\nBinary\n"  # defaults: continuous >= 0, binaries listed
+    yield from (f" {v}\n" for v in names if model.variables[v].kind == "binary")
+    yield "End\n"
 
 
 def emit_mps(model: MilpModel, path: str | Path) -> Path:
     """Fixed-free MPS emission, equivalent to the LP file."""
-    path = Path(path)
+    return _write(Path(path), _mps_lines(model))
+
+
+def _mps_lines(model: MilpModel):
+    number = _Text("{:.12g}".format)
     sense_mps = {"=": "E", "<=": "L", ">=": "G"}
-    lines = ["NAME placement", "ROWS", " N  obj"]
-    for row in model.rows:
-        lines.append(f" {sense_mps[row.sense]}  {row.name}")
-    lines.append("COLUMNS")
-    by_var: dict[str, list[tuple[str, float]]] = {v: [] for v in model.variables}
+    marker = "    MARKER                 'MARKER'                 '{}'\n"
+    yield "NAME placement\nROWS\n N  obj\n"
+    yield from (f" {sense_mps[row.sense]}  {row.name}\n" for row in model.rows)
+    yield "COLUMNS\n"
+    # Each column's "  row  coef" entries; one text per row and coefficient.
+    entries: dict[str, list[str]] = {v: [] for v in model.variables}
     for name, coef in model.objective.items():
-        by_var[name].append(("obj", coef))
+        entries[name].append("  obj  " + number[coef])
     for row in model.rows:
+        text = {c: f"  {row.name}  {number[c]}" for c in set(row.coeffs.values())}
         for name, coef in row.coeffs.items():
             if coef:
-                by_var[name].append((row.name, coef))
+                entries[name].append(text[coef])
+    names = sorted(model.variables)
     in_int = False
-    for v in sorted(model.variables):
-        is_bin = model.variables[v].kind == "binary"
-        if is_bin and not in_int:
-            lines.append("    MARKER                 'MARKER'                 'INTORG'")
-            in_int = True
-        if not is_bin and in_int:
-            lines.append("    MARKER                 'MARKER'                 'INTEND'")
-            in_int = False
-        for rname, coef in by_var[v]:
-            lines.append(f"    {v}  {rname}  {_fmt(coef)}")
+    for v in names:
+        if (model.variables[v].kind == "binary") != in_int:
+            in_int = not in_int
+            yield marker.format("INTORG" if in_int else "INTEND")
+        if entries[v]:
+            yield "    " + v + ("\n    " + v).join(entries[v]) + "\n"
     if in_int:
-        lines.append("    MARKER                 'MARKER'                 'INTEND'")
-    lines.append("RHS")
-    for row in model.rows:
-        if row.rhs:
-            lines.append(f"    RHS  {row.name}  {_fmt(row.rhs)}")
-    lines.append("BOUNDS")
-    for v in sorted(model.variables):
-        if model.variables[v].kind == "binary":
-            lines.append(f" BV BND  {v}")
-    lines.append("ENDATA")
-    path.write_text("\n".join(lines) + "\n")
-    return path
+        yield marker.format("INTEND")
+    yield "RHS\n"
+    yield from (f"    RHS  {row.name}  {number[row.rhs]}\n"
+                for row in model.rows if row.rhs)
+    yield "BOUNDS\n"
+    yield from (f" BV BND  {v}\n" for v in names
+                if model.variables[v].kind == "binary")
+    yield "ENDATA\n"
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")

@@ -111,6 +111,16 @@ def test_sweep_partial_scenarios_skips_savings(tmp_path, capsys):
     assert not (tmp_path / "savings.csv").exists()
 
 
+def test_lp_export_only_sweep_skips_savings(tmp_path, capsys):
+    code, out, _ = run(capsys, "sweep", "--scale", "reduced",
+                       "--scenarios", "1,2,3", "--reductions", "0.5",
+                       "--engine", "lp-export", "--out", str(tmp_path))
+    assert code == 0
+    assert "savings skipped: no engine in the sweep reports power" in out
+    assert not (tmp_path / "savings.csv").exists()
+    assert len(list(tmp_path.glob("model_s?_r50_seed7.lp"))) == 3
+
+
 def test_bad_reduction_exits_1(tmp_path, capsys):
     code, _, err = run(capsys, "solve", "--scale", "reduced",
                        "--reduction", "1.5", "--out", str(tmp_path))

@@ -66,6 +66,15 @@ def test_savings_requires_all_scenarios():
         savings_summary(result)
 
 
+def test_savings_refuse_lp_export_only():
+    only = SweepResult(spec=SweepSpec(engines=("lp-export",)))
+    with pytest.raises(SweepError, match="no engine in the sweep reports"):
+        savings_summary(only)
+    mixed = SweepResult(spec=SweepSpec(engines=("eepiv", "lp-export")))
+    with pytest.raises(SweepError, match="no engine in the sweep reports"):
+        savings_summary(mixed, engine="lp-export")
+
+
 def test_spec_validation():
     with pytest.raises(SweepError):
         SweepSpec(reductions=()).validate()

@@ -1,8 +1,13 @@
 import copy
+import hashlib
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ponplace as pp
+from ponplace.cli import main
+from ponplace.experiments import topology_for_scale
 from ponplace.milp import (BETA_BPS, MilpModel, build_model, emit_lp,
                            emit_mps, load_solution_values, parse_lp_summary,
                            solution_from_values, solve_exact,
@@ -95,6 +100,172 @@ class TestEmission:
         params = ModelParams.for_scenario(1, 0.5, vm_types=1)
         model = build_model(inst, params)
         assert model.counts().get("rows_d13", 0) == 0
+
+
+def read_mps(path):
+    """A free-format MPS file as ``(objective, rows, entries, binaries)``:
+    ``{variable: coef}``, ``{row: [sense, rhs]}`` with senses E/L/G,
+    ``{(row, variable): coef}`` and the set of binary variables, which must
+    be both integer-marked and bounded ``BV``."""
+    objective, rows, entries = {}, {}, {}
+    marked, binaries = set(), set()
+    section, integer = None, False
+    for line in Path(path).read_text().splitlines():
+        fields = line.split()
+        if not line.startswith(" "):
+            section = fields[0]
+        elif section == "ROWS":
+            if fields[0] != "N":
+                rows[fields[1]] = [fields[0], 0.0]
+        elif section == "COLUMNS" and fields[1] == "'MARKER'":
+            integer = fields[2] == "'INTORG'"
+        elif section == "COLUMNS":
+            var, row, coef = fields
+            if integer:
+                marked.add(var)
+            if row == "obj":
+                objective[var] = float(coef)
+            else:
+                entries[row, var] = float(coef)
+        elif section == "RHS":
+            rows[fields[1]][1] = float(fields[2])
+        elif section == "BOUNDS":
+            assert fields[:2] == ["BV", "BND"], line
+            binaries.add(fields[2])
+    assert marked == binaries
+    return objective, rows, entries, binaries
+
+
+def read_lp(path):
+    """An emitted LP file in the shape ``read_mps`` returns."""
+    def terms(tokens):
+        sign, out = 1.0, {}
+        while tokens:
+            if tokens[0] in "+-":
+                sign = -1.0 if tokens.pop(0) == "-" else 1.0
+            coef, name = float(tokens.pop(0)), tokens.pop(0)
+            if coef:
+                out[name] = sign * coef
+            sign = 1.0
+        return out
+
+    objective, rows, entries, binaries = {}, {}, {}, set()
+    sections = {"Minimize", "Subject To", "Bounds", "Binary", "End"}
+    section = None
+    for line in Path(path).read_text().splitlines():
+        if line in sections or line.startswith("\\"):
+            section = line
+        elif section == "Minimize":
+            objective = terms(line.split(":", 1)[1].split())
+        elif section == "Subject To":
+            name, body = line.strip().split(": ", 1)
+            *tokens, sense, rhs = body.split()
+            rows[name] = [{"=": "E", "<=": "L", ">=": "G"}[sense], float(rhs)]
+            entries.update({(name, v): c for v, c in terms(tokens).items()})
+        elif section == "Binary":
+            binaries.add(line.strip())
+    return objective, rows, entries, binaries
+
+
+def solve_mps(path) -> float:
+    """Optimum of an emitted MPS model, solved by HiGHS at zero gap."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csr_array
+
+    objective, rows, entries, binaries = read_mps(path)
+    names = sorted(set(objective) | {v for _, v in entries} | binaries)
+    col = {v: j for j, v in enumerate(names)}
+    at = {r: i for i, r in enumerate(rows)}
+    matrix = csr_array((list(entries.values()),
+                        ([at[r] for r, _ in entries], [col[v] for _, v in entries])),
+                       shape=(len(rows), len(names)))
+    rhs = np.array([value for _, value in rows.values()])
+    senses = np.array([sense for sense, _ in rows.values()])
+    lower = np.where(senses == "L", -np.inf, rhs)
+    upper = np.where(senses == "G", np.inf, rhs)
+    cost = np.array([objective.get(v, 0.0) for v in names])
+    # HiGHS also stops within an absolute gap of 1e-6: scale the costs so
+    # that gap is far below the tolerance asked of the optimum.
+    scale = 1e6 / np.abs(cost).max()
+    binary = np.array([v in binaries for v in names])
+    res = milp(cost * scale, integrality=binary.astype(int),
+               bounds=Bounds(0.0, np.where(binary, 1.0, np.inf)),
+               constraints=LinearConstraint(matrix, lower, upper),
+               options={"mip_rel_gap": 0.0})
+    assert res.status == 0, res.message
+    return res.fun / scale
+
+
+def export_digests(directory) -> tuple[str, ...]:
+    return tuple(hashlib.sha256((directory / name).read_bytes()).hexdigest()
+                 for name in ("model.lp", "model.lp.names", "model.mps"))
+
+
+class TestExportBytes:
+    """The export is byte-stable: sha256 of ``model.lp``, ``model.lp.names``
+    and ``model.mps`` as first emitted.  A change to either emitter or to
+    the model that alters one byte fails here."""
+
+    def test_minimal_chain(self, chain_model, tmp_path):
+        emit_lp(chain_model, tmp_path / "model.lp")
+        emit_mps(chain_model, tmp_path / "model.mps")
+        assert export_digests(tmp_path) == (
+            "06572aeafc213c094e534b356c1ec2771f9b0b9dd8e2c9b4b5018119bae3fbeb",
+            "9cdf20750894619ef08066cb614c29b526f5923e2cd685b560eb82816189fee4",
+            "2369fbd4fffce89bc492d31c055cacfae2a9bb07166a77db1c53f4821a3e65e1")
+
+    @pytest.mark.parametrize("flags, digests", [
+        (["--seed", "7", "--scenario", "1", "--reduction", "0.1"], (
+            "30a72812c8ec117b5d119c4588fb7daef93f32b760f0661de896d6bb9ecc2ac9",
+            "ebacbc214103e7d6fc1768c0672fccd2211e89ed5514a635429972045fa0786f",
+            "469090fda133c1922713abf28a1ff1c0c7fb83c93fc25b68af8d6bb85542a330")),
+        (["--seed", "12345", "--scenario", "3", "--reduction", "0.9",
+          "--no-capacity"], (
+            "9ef55b0c437f6c83f9e9bff2d9f20dca4f64588b3c3e77d4d994f4dc03a418d9",
+            "ebacbc214103e7d6fc1768c0672fccd2211e89ed5514a635429972045fa0786f",
+            "9859b7a6ee99554fb434d323f43b1c24b1c241a2e0cfa495e313aeeb4a549b1e")),
+    ], ids=["seed7", "seed12345"])
+    def test_reduced_export_lp(self, flags, digests, tmp_path, capsys):
+        assert main(["export-lp", "--scale", "reduced", *flags, "--mps",
+                     "--out", str(tmp_path)]) == 0
+        assert export_digests(tmp_path) == digests
+
+
+class TestExportSemantics:
+    """The emitted files state the model: LP and MPS carry the same rows,
+    coefficients, senses, right-hand sides and binaries as the model, and
+    the MPS file's optimum is the exact engine's total."""
+
+    @pytest.fixture(scope="class")
+    def reduced(self):
+        inst = pp.build_instance(topology_for_scale("reduced", 7))
+        return inst, ModelParams.for_scenario(2, 0.3)
+
+    @pytest.mark.parametrize("case", ["chain", "reduced"])
+    def test_lp_and_mps_state_the_model(self, case, chain, reduced, tmp_path):
+        inst, params = chain if case == "chain" else reduced
+        model = build_model(inst, params)
+        lp = read_lp(emit_lp(model, tmp_path / "model.lp"))
+        mps = read_mps(emit_mps(model, tmp_path / "model.mps"))
+        assert lp == mps
+        objective, rows, entries, binaries = mps
+        written = lambda x: float(f"{x:.12g}")  # 12 significant digits
+        assert objective == {v: written(c)
+                             for v, c in model.objective.items() if c}
+        assert rows == {r.name: [{"=": "E", "<=": "L", ">=": "G"}[r.sense],
+                                 written(r.rhs)] for r in model.rows}
+        assert entries == {(r.name, v): written(c) for r in model.rows
+                           for v, c in r.coeffs.items() if c}
+        assert binaries == {v for v, var in model.variables.items()
+                            if var.kind == "binary"}
+
+    @pytest.mark.parametrize("case", ["chain", "reduced"])
+    def test_mps_optimum_is_the_exact_total(self, case, chain, reduced,
+                                            tmp_path):
+        inst, params = chain if case == "chain" else reduced
+        path = emit_mps(build_model(inst, params), tmp_path / "model.mps")
+        _, _, report = solve_exact(inst, params)
+        assert solve_mps(path) == pytest.approx(report.total_w, rel=1e-9)
 
 
 class TestValidation:
