@@ -28,19 +28,24 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     return tuple(int(s) for s in text.split(","))
 
 
-def _add_engine_flags(p: argparse.ArgumentParser) -> None:
-    # Model flags default to None so that only the flags given override
-    # --config; without a config the library's defaults apply.
+def _add_topology_flags(p: argparse.ArgumentParser) -> None:
+    # Flags default to None so that only the flags given override --config;
+    # without a config the library's defaults apply.
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--scale", choices=["paper", "reduced"], default="paper")
+    p.add_argument("--scale", choices=["paper", "reduced"],
+                   help="topology size (default paper); not with --config")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out", default=None, help="output directory "
+                   "(default $PONPLACE_OUT or current directory)")
+
+
+def _add_engine_flags(p: argparse.ArgumentParser) -> None:
+    _add_topology_flags(p)
     p.add_argument("--scenario", type=int, choices=[1, 2, 3])
     p.add_argument("--reduction", type=float,
                    help="traffic reduction fraction in [0, 1)")
-    p.add_argument("--seed", type=int)
     p.add_argument("--no-capacity", action="store_true",
                    help="drop the per-cloudlet workload cap")
-    p.add_argument("--out", default=None, help="output directory "
-                   "(default $PONPLACE_OUT or current directory)")
 
 
 def _out_dir(args) -> Path:
@@ -52,9 +57,12 @@ def _out_dir(args) -> Path:
 
 def _instance_and_params(args):
     if args.config:
+        if args.scale is not None:
+            raise ValueError("--scale and --config both give the topology; "
+                             "use one of them")
         config, params = load_config(args.config)
     else:
-        config = experiments.topology_for_scale(args.scale,
+        config = experiments.topology_for_scale(args.scale or "paper",
                                                 TopologyConfig.rng_seed)
         params = model_params({}, config.vm_types)
     if args.seed is not None:
@@ -74,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write instance nodes/edges CSVs")
-    _add_engine_flags(p)
+    _add_topology_flags(p)
+    p.set_defaults(scenario=None, reduction=None, no_capacity=False)
 
     p = sub.add_parser("solve", help="run the exact engine")
     _add_engine_flags(p)
@@ -169,7 +178,7 @@ def _dispatch(args) -> int:
             engines=tuple(args.engines or ["eepiv"]),
             seeds=(_parse_seeds(args.seeds) if args.seeds
                    else (TopologyConfig.rng_seed,)),
-            scale=args.scale,
+            scale=args.scale or "paper",
             capacity_enforced=not args.no_capacity)
         result = experiments.run_sweep(spec, out_dir=out, jobs=args.jobs)
         experiments.write_sweep_csv(result, out / "sweep.csv")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .milp import require_known_vm_types
 from .power import ModelParams, PowerReport, total_objective
 from .routing import min_hop_path
 from .solution import FlowAssignment, PlacementSolution, build_flows
@@ -44,8 +45,10 @@ def run_eepiv(instance: NetworkInstance,
 
     Objects whose type finds no host (capacity exhaustion) are left
     unserved and excluded from ``served_count``; with the default
-    parameters every object is served.
+    parameters every object is served.  A VM type outside the workload
+    table raises ``InfeasibleError``, as in the other engines.
     """
+    require_known_vm_types(instance, params)
     vm_types = params.workloads.vm_types
     networks = sorted({n.network_id for n in instance.nodes
                        if n.network_id != OLT_NETWORK_ID})

@@ -15,7 +15,8 @@ from pathlib import Path
 from . import eepiv as eepiv_mod
 from . import milp
 from .power import ModelParams, PowerReport
-from .topology import NetworkInstance, TopologyConfig, build_instance
+from .topology import (LayerKind, NetworkInstance, TopologyConfig,
+                       build_instance)
 
 DEFAULT_REDUCTIONS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -229,7 +230,8 @@ def savings_summary(result: SweepResult, engine: str | None = None) -> list[dict
 
 
 def write_sweep_csv(result: SweepResult, path: str | Path) -> None:
-    """One row per cell per layer (PowerReport schema plus cell key)."""
+    """One row per cell per layer: the cell key, then the layer's powers
+    from the cell's report."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["scenario", "reduction_pct", "engine", "seed", "layer",
@@ -244,12 +246,13 @@ def write_sweep_csv(result: SweepResult, path: str | Path) -> None:
                             f"{cell.wall_time_s:.4f}",
                             cell.error or cell.lp_path or ""])
                 continue
-            for rrow in cell.report.rows(key.scenario, key.reduction):
+            report = cell.report
+            scaled = report.traffic_w_scaled()
+            for k in LayerKind:
                 w.writerow([key.scenario, key.reduction, key.engine, key.seed,
-                            rrow["layer"], repr(rrow["processing_w"]),
-                            repr(rrow["traffic_w_raw"]),
-                            repr(rrow["traffic_w_scaled"]),
-                            repr(rrow["total_w"]), cell.served_count,
+                            k.value, repr(report.processing_w[k]),
+                            repr(report.traffic_w_raw[k]), repr(scaled[k]),
+                            repr(report.total_w), cell.served_count,
                             f"{cell.wall_time_s:.4f}", ""])
 
 

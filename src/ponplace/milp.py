@@ -56,6 +56,14 @@ class InfeasibleError(RuntimeError):
     table, or none within the workload caps."""
 
 
+def require_known_vm_types(instance: NetworkInstance,
+                           params: ModelParams) -> None:
+    """Raise ``InfeasibleError`` if an object requests a VM type that the
+    workload table lacks, so no engine serves only part of the objects."""
+    if max(instance.vm_request.values(), default=0) >= params.workloads.vm_types:
+        raise InfeasibleError("instance requests a VM type outside the table")
+
+
 # ---------------------------------------------------------------------------
 # Symbolic model
 # ---------------------------------------------------------------------------
@@ -106,8 +114,7 @@ def build_model(instance: NetworkInstance, params: ModelParams) -> MilpModel:
     (object, candidate) pairs plus the OLT; processed traffic lives on the
     candidate-only subgraph and the OLT-hosted cloudlet generates none.
     """
-    if max(instance.vm_request.values(), default=0) >= params.workloads.vm_types:
-        raise InfeasibleError("instance requests a VM type outside the table")
+    require_known_vm_types(instance, params)
     cand = candidate_nodes(instance)
     olt = instance.olt_id
     cn = set(cand)
@@ -264,20 +271,27 @@ def _write(path: Path, pieces) -> Path:
     return path
 
 
-def emit_lp(model: MilpModel, path: str | Path, name_map: bool = True) -> Path:
+def _exact(x: float) -> str:
+    """``x`` as text that reads back as the same float: 12 significant
+    digits where they suffice (``1``, ``-1``, ``10000000``), else the
+    shortest exact form."""
+    text = f"{x:.12g}"
+    return text if float(text) == x else repr(x)
+
+
+def emit_lp(model: MilpModel, path: str | Path) -> Path:
     """Write the model in CPLEX LP format (one constraint per line) and a
     companion ``<path>.names`` variable map."""
     names = sorted(model.variables)
     path = _write(Path(path), _lp_lines(model, names))
-    if name_map:
-        _write(path.with_suffix(path.suffix + ".names"),
-               (f"{v}\t{model.variables[v].kind}\n" for v in names))
+    _write(path.with_suffix(path.suffix + ".names"),
+           (f"{v}\t{model.variables[v].kind}\n" for v in names))
     return path
 
 
 def _lp_lines(model: MilpModel, names: list[str]):
-    number = _Text("{:.12g}".format)
-    term = _Text(lambda c: f"{'-' if c < 0 else '+'} {abs(c):.12g} ")
+    number = _Text(_exact)
+    term = _Text(lambda c: f"{'-' if c < 0 else '+'} {_exact(abs(c))} ")
     terms = [f"{number[c]} {n}" for n, c in sorted(model.objective.items()) if c]
     yield ("\\ placement model\nMinimize\n obj: " + " + ".join(terms)
            + "\nSubject To\n")
@@ -297,7 +311,7 @@ def emit_mps(model: MilpModel, path: str | Path) -> Path:
 
 
 def _mps_lines(model: MilpModel):
-    number = _Text("{:.12g}".format)
+    number = _Text(_exact)
     sense_mps = {"=": "E", "<=": "L", ">=": "G"}
     marker = "    MARKER                 'MARKER'                 '{}'\n"
     yield "NAME placement\nROWS\n N  obj\n"
@@ -465,7 +479,7 @@ def solution_from_values(values: dict[str, float], instance: NetworkInstance,
     """Rebuild a placement and flow assignment from imported variable
     values (native export or an external solver's answer).  Values of the
     aggregate families (``xovc``, ``lu``, ``lp``) are accepted and
-    recomputed from the per-commodity ones."""
+    ignored: what they sum is read from the per-commodity values."""
     for name, value in values.items():
         problem = (_variable_problem(name, value)
                    or _index_problem(name, instance, params.workloads.vm_types))
@@ -487,13 +501,11 @@ def solution_from_values(values: dict[str, float], instance: NetworkInstance,
         elif tag == "xuf" and value > tol:
             o, c, x, y = map(int, parts[1:])
             flows.upt_commodity.setdefault((o, c), {})[(x, y)] = value
-            flows.upt[(x, y)] = flows.upt.get((x, y), 0.0) + value
         elif tag == "xpc" and value > tol:
             flows.pt_cl[int(parts[1])] = value
         elif tag == "xpf" and value > tol:
             c, x, y = map(int, parts[1:])
             flows.pt_commodity.setdefault(c, {})[(x, y)] = value
-            flows.pt[(x, y)] = flows.pt.get((x, y), 0.0) + value
     workload = {c: tw for c, tw in workload.items() if tw > tol or
                 any(pc == c for pc, _ in placed)}
     layers = {c: instance.layer(c) for c, _ in placed}
@@ -543,6 +555,20 @@ def validate_solution(solution: PlacementSolution, flows: FlowAssignment,
         if abs(residual) > limit:
             bad.append(Violation(family, row, residual))
 
+    def conserve(family: str, row: str, com: dict, source: int, sink: int,
+                 rate: float, nodes: set[int] | None = None) -> None:
+        """One commodity: ``rate`` leaves ``source`` and reaches ``sink``
+        along the links of ``com``, which stay among ``nodes`` if given."""
+        net: dict[int, float] = {}
+        for (x, y), r in com.items():
+            if nodes is not None and (x not in nodes or y not in nodes):
+                bad.append(Violation(family, f"{row}offgraph_{x}_{y}", r))
+            net[x] = net.get(x, 0.0) + r
+            net[y] = net.get(y, 0.0) - r
+        for x in set(net) | {source, sink}:
+            expected = rate if x == source else -rate if x == sink else 0.0
+            check(family, f"{row}{x}", net.get(x, 0.0) - expected)
+
     objects = instance.objects()
     olt = instance.olt_id
     f = params.remaining_fraction
@@ -556,28 +582,12 @@ def validate_solution(solution: PlacementSolution, flows: FlowAssignment,
     share_of = {(o, c): share for o in solution.assignment
                 for c, share in solution.assignment[o]}
     for (o, c), com in flows.upt_commodity.items():
-        share = share_of.get((o, c), 0.0)
-        net = {}
-        for (x, y), rate in com.items():
-            net[x] = net.get(x, 0.0) + rate
-            net[y] = net.get(y, 0.0) - rate
-        for x in set(net) | {o, c}:
-            expected = share if x == o else -share if x == c else 0.0
-            check("flow_conservation_unprocessed", f"fc15_{o}_{c}_{x}",
-                  net.get(x, 0.0) - expected)
+        conserve("flow_conservation_unprocessed", f"fc15_{o}_{c}_", com, o, c,
+                 share_of.get((o, c), 0.0))
     for (o, c) in share_of:
         if share_of[(o, c)] > tol and (o, c) not in flows.upt_commodity and o != c:
             bad.append(Violation("flow_conservation_unprocessed",
                                  f"fc15_{o}_{c}_missing", share_of[(o, c)]))
-
-    # Aggregate consistency on each link.
-    agg = {}
-    for com in flows.upt_commodity.values():
-        for pair, rate in com.items():
-            agg[pair] = agg.get(pair, 0.0) + rate
-    for pair in set(agg) | set(flows.upt):
-        check("aggregate_unprocessed", f"ag16_{pair[0]}_{pair[1]}",
-              agg.get(pair, 0.0) - flows.upt.get(pair, 0.0))
 
     # Traffic reduction per cloudlet.
     inflow: dict[int, float] = {}
@@ -592,26 +602,8 @@ def validate_solution(solution: PlacementSolution, flows: FlowAssignment,
     # Per-commodity processed conservation, restricted to candidate nodes.
     cn = set(candidate_nodes(instance))
     for c, com in flows.pt_commodity.items():
-        rate_out = flows.pt_cl.get(c, 0.0)
-        net = {}
-        for (x, y), rate in com.items():
-            if x not in cn or y not in cn:
-                bad.append(Violation("flow_conservation_processed",
-                                     f"fc18_{c}_offgraph_{x}_{y}", rate))
-            net[x] = net.get(x, 0.0) + rate
-            net[y] = net.get(y, 0.0) - rate
-        for x in set(net) | {c, olt}:
-            expected = rate_out if x == c else -rate_out if x == olt else 0.0
-            check("flow_conservation_processed", f"fc18_{c}_{x}",
-                  net.get(x, 0.0) - expected)
-
-    agg = {}
-    for com in flows.pt_commodity.values():
-        for pair, rate in com.items():
-            agg[pair] = agg.get(pair, 0.0) + rate
-    for pair in set(agg) | set(flows.pt):
-        check("aggregate_processed", f"ag19_{pair[0]}_{pair[1]}",
-              agg.get(pair, 0.0) - flows.pt.get(pair, 0.0))
+        conserve("flow_conservation_processed", f"fc18_{c}_", com, c, olt,
+                 flows.pt_cl.get(c, 0.0), cn)
 
     # Placement linking: an instance is open iff it carries traffic.
     traffic_cv: dict[tuple[int, int], float] = {}
@@ -674,9 +666,8 @@ def solve_exact(instance: NetworkInstance, params: ModelParams
     from scipy.optimize import LinearConstraint, milp
     from scipy.sparse import csr_array
 
+    require_known_vm_types(instance, params)
     vm_types = params.workloads.vm_types
-    if max(instance.vm_request.values(), default=0) >= vm_types:
-        raise InfeasibleError("instance requests a VM type outside the table")
     olt = instance.olt_id
     demand = params.demand_bps
     f = params.remaining_fraction

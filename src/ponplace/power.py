@@ -214,12 +214,12 @@ def traffic_power(flows, instance: NetworkInstance,
     """
     e = params.energy
     power = {k: 0.0 for k in LayerKind}
-    seen = set(flows.upt) | set(flows.pt)
-    for pair in seen:
+    upt, pt = flows.link_rates()
+    for pair in set(upt) | set(pt):
         link = instance.link_by_pair.get(pair)
         if link is None:
             raise ModelError(f"flow on non-existent link {pair}")
-        rate = flows.upt.get(pair, 0.0) + flows.pt.get(pair, 0.0)
+        rate = upt.get(pair, 0.0) + pt.get(pair, 0.0)
         tx = tx_energy(link.src_layer, e)
         if link.medium is Medium.WIRELESS:
             tx += e.epsilon * link.distance_m ** 2
@@ -255,20 +255,6 @@ class PowerReport:
     def recomputed_total(self) -> float:
         return (sum(self.processing_w.values())
                 + sum(self.traffic_w_scaled().values()))
-
-    def rows(self, scenario: int, reduction_pct: float) -> list[dict]:
-        """CSV rows: scenario, reduction_pct, layer, processing_w,
-        traffic_w_raw, traffic_w_scaled, total_w."""
-        scaled = self.traffic_w_scaled()
-        return [{
-            "scenario": scenario,
-            "reduction_pct": reduction_pct,
-            "layer": k.value,
-            "processing_w": self.processing_w[k],
-            "traffic_w_raw": self.traffic_w_raw[k],
-            "traffic_w_scaled": scaled[k],
-            "total_w": self.total_w,
-        } for k in LayerKind]
 
 
 def total_objective(solution, flows, instance: NetworkInstance,

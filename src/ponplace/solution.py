@@ -1,4 +1,4 @@
-"""Placement solutions and link-level flow assignments shared by the exact
+"""Placement solutions and per-commodity flow assignments shared by the exact
 engine, the heuristic and the validator."""
 
 from __future__ import annotations
@@ -55,13 +55,9 @@ class PlacementSolution:
 
 @dataclass
 class FlowAssignment:
-    """Per-link bit rates realizing all demands, with the per-commodity
-    decompositions needed for flow-conservation checks."""
+    """Per-commodity bit rates realizing all demands.  They are the only
+    flow record: per-link totals are summed from them by ``link_rates``."""
 
-    #: directed link (src, dst) -> unprocessed bps.
-    upt: dict[tuple[int, int], float] = field(default_factory=dict)
-    #: directed link (src, dst) -> processed bps.
-    pt: dict[tuple[int, int], float] = field(default_factory=dict)
     #: (object, cloudlet) -> {link -> bps} for the unprocessed commodity.
     upt_commodity: dict[tuple[int, int], dict[tuple[int, int], float]] = field(default_factory=dict)
     #: cloudlet -> {link -> bps} for its processed commodity to the OLT.
@@ -73,14 +69,24 @@ class FlowAssignment:
         com = self.upt_commodity.setdefault((o, c), {})
         for a, b in zip(path, path[1:]):
             com[(a, b)] = com.get((a, b), 0.0) + rate
-            self.upt[(a, b)] = self.upt.get((a, b), 0.0) + rate
 
     def add_processed(self, c: int, path, rate: float) -> None:
         self.pt_cl[c] = self.pt_cl.get(c, 0.0) + rate
         com = self.pt_commodity.setdefault(c, {})
         for a, b in zip(path, path[1:]):
             com[(a, b)] = com.get((a, b), 0.0) + rate
-            self.pt[(a, b)] = self.pt.get((a, b), 0.0) + rate
+
+    def link_rates(self) -> tuple[dict[tuple[int, int], float],
+                                  dict[tuple[int, int], float]]:
+        """Unprocessed and processed bps per directed link (src, dst),
+        summed over the commodities in one pass, in insertion order."""
+        totals = ({}, {})
+        for total, commodities in zip(totals, (self.upt_commodity,
+                                               self.pt_commodity)):
+            for com in commodities.values():
+                for pair, rate in com.items():
+                    total[pair] = total.get(pair, 0.0) + rate
+        return totals
 
 
 def build_flows(instance: NetworkInstance, params: ModelParams,

@@ -141,6 +141,26 @@ def test_config_file(tmp_path, capsys):
     assert "optimal total:" in out
 
 
+def test_config_with_scale_exits_1(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": {"scenario": 2}}))
+    code, out, err = run(capsys, "heuristic", "--config", str(path),
+                         "--scale", "reduced", "--out", str(tmp_path))
+    assert code == 1
+    assert "--scale" in err and "--config" in err
+    assert not (tmp_path / "solution.txt").exists()
+
+
+@pytest.mark.parametrize("flag", [["--scenario", "3"], ["--reduction", "0.9"],
+                                  ["--no-capacity"]],
+                         ids=["scenario", "reduction", "no-capacity"])
+def test_generate_refuses_model_flags(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--scale", "reduced", *flag, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not (tmp_path / "nodes.csv").exists()
+
+
 def test_out_dir_from_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PONPLACE_OUT", str(tmp_path / "envout"))
     code, _, _ = run(capsys, "generate", "--scale", "reduced")

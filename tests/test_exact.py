@@ -120,13 +120,17 @@ def test_expansion_budget(monkeypatch):
         solve_exact(inst, params)
 
 
-def test_unknown_vm_type_rejected(minimal_chain):
+@pytest.mark.parametrize("engine", ["exact", "eepiv", "model"])
+def test_unknown_vm_type_rejected(minimal_chain, engine):
+    # no engine may answer for only the objects whose type it knows
     params = ModelParams.for_scenario(1, 0.5, vm_types=1)
     bad = pp.NetworkInstance(minimal_chain.config, list(minimal_chain.nodes),
                              list(minimal_chain.links),
                              {o: 5 for o in minimal_chain.objects()})
-    with pytest.raises(InfeasibleError):
-        solve_exact(bad, params)
+    run = {"exact": solve_exact, "eepiv": pp.run_eepiv,
+           "model": pp.build_model}[engine]
+    with pytest.raises(InfeasibleError, match="outside the table"):
+        run(bad, params)
 
 
 def test_capacity_infeasible_rejected(minimal_chain):

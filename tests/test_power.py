@@ -49,6 +49,14 @@ def chain_instance():
     return pp.build_instance(pp.minimal_chain_config(rng_seed=3))
 
 
+def link_flows(upt=None, pt=None):
+    """Flows with one one-link commodity per ``link: bps`` entry."""
+    return FlowAssignment(
+        upt_commodity={pair: {pair: bps} for pair, bps in (upt or {}).items()},
+        pt_commodity={i: {pair: bps}
+                      for i, (pair, bps) in enumerate((pt or {}).items())})
+
+
 class TestTrafficPower:
     def test_single_object_transmission(self):
         inst = chain_instance()
@@ -57,7 +65,7 @@ class TestTrafficPower:
         # overwrite the drawn distance with d = 10 m
         link = inst.link_by_pair[(obj, relay)]
         object.__setattr__(link, "distance_m", 10.0)
-        flows = FlowAssignment(upt={(obj, relay): 5000.0})
+        flows = link_flows(upt={(obj, relay): 5000.0})
         power = pp.traffic_power(flows, inst, scenario1())
         assert power[LayerKind.OBJECT] == pytest.approx(
             5000 * (50e-9 + 255e-12 * 100.0), rel=1e-12)  # 377.5 uW
@@ -72,14 +80,14 @@ class TestTrafficPower:
         gw = inst.nodes_by_layer[LayerKind.GATEWAY][0].id
         onu = inst.nodes_by_layer[LayerKind.ONU][0].id
         olt = inst.olt_id
-        flows = FlowAssignment(upt={(gw, onu): 10000.0, (onu, olt): 10000.0})
+        flows = link_flows(upt={(gw, onu): 10000.0, (onu, olt): 10000.0})
         power = pp.traffic_power(flows, inst, scenario1())
         assert power[LayerKind.ONU] == pytest.approx(
             10000 * 7.5e-9 * 2, rel=1e-12)  # 150 uW raw
 
     def test_unknown_link_rejected(self):
         inst = chain_instance()
-        flows = FlowAssignment(upt={(99, 100): 1.0})
+        flows = link_flows(upt={(99, 100): 1.0})
         with pytest.raises(pp.ModelError):
             pp.traffic_power(flows, inst, scenario1())
 
@@ -87,14 +95,28 @@ class TestTrafficPower:
         inst = chain_instance()
         obj = inst.objects()[0]
         relay = inst.out_links[obj][0].dst
-        base = FlowAssignment(upt={(obj, relay): 5000.0},
-                              pt={(obj, relay): 100.0})
-        double = FlowAssignment(upt={(obj, relay): 10000.0},
-                                pt={(obj, relay): 200.0})
+        base = link_flows(upt={(obj, relay): 5000.0},
+                          pt={(obj, relay): 100.0})
+        double = link_flows(upt={(obj, relay): 10000.0},
+                            pt={(obj, relay): 200.0})
         p1 = pp.traffic_power(base, inst, scenario1())
         p2 = pp.traffic_power(double, inst, scenario1())
         for layer in p1:
             assert p2[layer] == pytest.approx(2 * p1[layer], abs=1e-18)
+
+
+class TestLinkRates:
+    def test_commodities_sum_per_link(self):
+        flows = FlowAssignment()
+        flows.add_unprocessed(0, 2, [0, 1, 2], 5000.0)
+        flows.add_unprocessed(3, 2, [3, 1, 2], 2500.0)
+        flows.add_processed(2, [2, 4, 5], 3750.0)
+        flows.add_processed(4, [4, 5], 100.0)
+        upt, pt = flows.link_rates()
+        assert list(upt.items()) == [((0, 1), 5000.0), ((1, 2), 7500.0),
+                                     ((3, 1), 2500.0)]
+        assert list(pt.items()) == [((2, 4), 3750.0), ((4, 5), 3850.0)]
+        assert flows.pt_cl == {2: 3750.0, 4: 100.0}
 
 
 def placement_at(inst, node_id, vm_types, params):

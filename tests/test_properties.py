@@ -38,8 +38,10 @@ def test_traffic_power_is_linear(seed, scale):
     res = run_eepiv(inst, params)
     base = pp.traffic_power(res.flows, inst, params)
     scaled_flows = pp.FlowAssignment(
-        upt={k: v * scale for k, v in res.flows.upt.items()},
-        pt={k: v * scale for k, v in res.flows.pt.items()})
+        upt_commodity={key: {k: v * scale for k, v in com.items()}
+                       for key, com in res.flows.upt_commodity.items()},
+        pt_commodity={key: {k: v * scale for k, v in com.items()}
+                      for key, com in res.flows.pt_commodity.items()})
     scaled = pp.traffic_power(scaled_flows, inst, params)
     for layer in base:
         assert scaled[layer] == pytest.approx(scale * base[layer], rel=1e-9)
@@ -103,7 +105,8 @@ def test_flow_conservation_at_interior_nodes(seed):
     open_c = res.solution.cloudlet_open()
     olt = inst.olt_id
     net = {}
-    for (x, y), rate in res.flows.upt.items():
+    upt, _ = res.flows.link_rates()
+    for (x, y), rate in upt.items():
         net[x] = net.get(x, 0.0) + rate
         net[y] = net.get(y, 0.0) - rate
     for node, balance in net.items():
