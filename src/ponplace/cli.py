@@ -48,13 +48,6 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
                    help="drop the per-cloudlet workload cap")
 
 
-def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("PONPLACE_OUT") or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _instance_and_params(args):
     if args.config:
         if args.scale is not None:
@@ -100,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenarios", default="1,2,3")
     p.add_argument("--reductions", default="0.1,0.3,0.5,0.7,0.9")
     p.add_argument("--engine", action="append", dest="engines",
-                   choices=["exact", "eepiv", "lp-export"])
+                   help="exact or eepiv, repeatable (default eepiv)")
     p.add_argument("--seeds", default=None, help="'1,2,5' or '1..10'")
     p.add_argument("--jobs", type=int, default=1)
 
@@ -124,45 +117,9 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    out = _out_dir(args)
-    if args.command == "generate":
-        instance, _ = _instance_and_params(args)
-        write_csv(instance, out)
-        print(f"wrote {out / 'nodes.csv'} and {out / 'edges.csv'}")
-        return 0
-
-    if args.command == "solve":
-        instance, params = _instance_and_params(args)
-        solution, flows, report = milp.solve_exact(instance, params)
-        milp.write_solution_values(out / "solution.txt", solution, flows)
-        print(f"optimal total: {report.total_w:.6f} W")
-        for (c, v) in sorted(solution.placed):
-            print(f"  type {v} at node {c} ({instance.layer(c).value}, "
-                  f"network {instance.network_of(c)})")
-        return 0
-
-    if args.command == "heuristic":
-        instance, params = _instance_and_params(args)
-        res = eepiv_mod.run_eepiv(instance, params)
-        milp.write_solution_values(out / "solution.txt", res.solution,
-                                   res.flows)
-        print(f"heuristic total: {res.report.total_w:.6f} W "
-              f"(served {res.served_count} objects)")
-        for (c, v) in sorted(res.solution.placed):
-            print(f"  type {v} at node {c} ({instance.layer(c).value}, "
-                  f"network {instance.network_of(c)})")
-        return 0
-
-    if args.command == "export-lp":
-        instance, params = _instance_and_params(args)
-        model = milp.build_model(instance, params)
-        lp = milp.emit_lp(model, out / "model.lp")
-        print(f"wrote {lp}")
-        if args.mps:
-            mps = milp.emit_mps(model, out / "model.mps")
-            print(f"wrote {mps}")
-        return 0
-
+    # Every check runs before the output directory is made, so a refused
+    # command leaves nothing behind.
+    out = Path(args.out or os.environ.get("PONPLACE_OUT") or ".")
     if args.command == "sweep":
         if args.config:
             raise ValueError("sweep does not read --config; give the sweep "
@@ -180,7 +137,8 @@ def _dispatch(args) -> int:
                    else (TopologyConfig.rng_seed,)),
             scale=args.scale or "paper",
             capacity_enforced=not args.no_capacity)
-        result = experiments.run_sweep(spec, out_dir=out, jobs=args.jobs)
+        result = experiments.run_sweep(spec, jobs=args.jobs)
+        out.mkdir(parents=True, exist_ok=True)
         experiments.write_sweep_csv(result, out / "sweep.csv")
         experiments.write_placements_csv(result, out / "placements.csv")
         try:
@@ -191,11 +149,44 @@ def _dispatch(args) -> int:
         print(f"wrote {out / 'sweep.csv'}, {out / 'placements.csv'}")
         return 0
 
+    instance, params = _instance_and_params(args)
+    if args.command == "generate":
+        write_csv(instance, out)
+        print(f"wrote {out / 'nodes.csv'} and {out / 'edges.csv'}")
+        return 0
+
+    if args.command in ("solve", "heuristic"):
+        if args.command == "solve":
+            solution, flows, report = milp.solve_exact(instance, params)
+            headline = f"optimal total: {report.total_w:.6f} W"
+        else:
+            res = eepiv_mod.run_eepiv(instance, params)
+            solution, flows = res.solution, res.flows
+            headline = (f"heuristic total: {res.report.total_w:.6f} W "
+                        f"(served {res.served_count} objects)")
+        out.mkdir(parents=True, exist_ok=True)
+        milp.write_solution_values(out / "solution.txt", solution, flows)
+        print(headline)
+        for (c, v) in sorted(solution.placed):
+            print(f"  type {v} at node {c} ({instance.layer(c).value}, "
+                  f"network {instance.network_of(c)})")
+        return 0
+
+    if args.command == "export-lp":
+        model = milp.build_model(instance, params)
+        out.mkdir(parents=True, exist_ok=True)
+        lp = milp.emit_lp(model, out / "model.lp")
+        print(f"wrote {lp}")
+        if args.mps:
+            mps = milp.emit_mps(model, out / "model.mps")
+            print(f"wrote {mps}")
+        return 0
+
     if args.command == "validate":
-        instance, params = _instance_and_params(args)
         values = milp.load_solution_values(args.solution)
         solution, flows = milp.solution_from_values(values, instance, params)
         report = milp.validate_solution(solution, flows, instance, params)
+        out.mkdir(parents=True, exist_ok=True)
         report.write_csv(out / "validation.csv")
         print(f"objective: {report.objective_w:.6f} W; "
               f"violations: {len(report.violations)}")

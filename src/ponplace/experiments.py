@@ -14,17 +14,16 @@ from pathlib import Path
 
 from . import eepiv as eepiv_mod
 from . import milp
-from .power import ModelParams, PowerReport
+from .power import ModelError, ModelParams, PowerReport
 from .topology import (LayerKind, NetworkInstance, TopologyConfig,
                        build_instance)
 
 DEFAULT_REDUCTIONS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
-#: Small enough for the exhaustive placement search, large enough to show
-#: the OLT-vs-relay consolidation switch: with fewer than ~6 objects per
-#: type per network the duplicated-VM power always dominates the extra
-#: uplink traffic and the homogeneous scenarios stay at the OLT for every
-#: reduction value.
+#: Large enough to show the OLT-vs-relay consolidation switch: with fewer
+#: than ~6 objects per type per network the duplicated-VM power always
+#: dominates the extra uplink traffic and the homogeneous scenarios stay at
+#: the OLT for every reduction value.
 REDUCED_SCALE_CONFIG = TopologyConfig(networks=2, objects_per_network=24,
                                       relays_per_network=4, vm_types=4)
 
@@ -54,11 +53,21 @@ class SweepSpec:
                 or not self.seeds:
             raise SweepError("scenarios, reductions, engines and seeds "
                              "must all be non-empty")
-        bad = set(self.engines) - {"exact", "eepiv", "lp-export"}
+        if "lp-export" in self.engines:
+            raise SweepError("lp-export is not a sweep engine; write the "
+                             "model with `ponplace export-lp`")
+        bad = set(self.engines) - {"exact", "eepiv"}
         if bad:
-            raise SweepError(f"unknown engines {sorted(bad)}")
+            raise SweepError(f"unknown engines {sorted(bad)}; sweep "
+                             f"engines are 'eepiv' and 'exact'")
         if self.scale not in ("paper", "reduced"):
             raise SweepError(f"unknown scale {self.scale!r}")
+        try:
+            for scenario in self.scenarios:
+                for reduction in self.reductions:
+                    ModelParams.check_scenario(scenario, reduction)
+        except ModelError as exc:
+            raise SweepError(str(exc)) from None
 
 
 def topology_for_scale(scale: str, seed: int) -> TopologyConfig:
@@ -82,7 +91,6 @@ class CellResult:
     served_count: int
     wall_time_s: float
     error: str | None = None
-    lp_path: str | None = None
     #: objects in the cell's instance; a report serving fewer is partial.
     object_count: int = 0
 
@@ -100,8 +108,7 @@ def _instance(scale: str, seed: int) -> NetworkInstance:
     return build_instance(topology_for_scale(scale, seed))
 
 
-def _run_cell(key: CellKey, scale: str, capacity_enforced: bool,
-              out_dir: str | None) -> CellResult:
+def _run_cell(key: CellKey, scale: str, capacity_enforced: bool) -> CellResult:
     instance = _instance(scale, key.seed)
     params = ModelParams.for_scenario(key.scenario, key.reduction,
                                       vm_types=instance.config.vm_types,
@@ -111,31 +118,20 @@ def _run_cell(key: CellKey, scale: str, capacity_enforced: bool,
     try:
         if key.engine == "eepiv":
             res = eepiv_mod.run_eepiv(instance, params)
-            return CellResult(report=res.report,
-                              placements=_placement_rows(instance, res.solution),
-                              served_count=res.served_count,
-                              wall_time_s=time.perf_counter() - start,
-                              object_count=objects)
-        if key.engine == "exact":
+            solution, report, served = (res.solution, res.report,
+                                        res.served_count)
+        else:
             solution, _, report = milp.solve_exact(instance, params)
-            return CellResult(report=report,
-                              placements=_placement_rows(instance, solution),
-                              served_count=len(solution.assignment),
-                              wall_time_s=time.perf_counter() - start,
-                              object_count=objects)
-        # lp-export: write the model instead of solving it.
-        model = milp.build_model(instance, params)
-        name = (f"model_s{key.scenario}_r{int(round(key.reduction * 100))}"
-                f"_seed{key.seed}.lp")
-        path = Path(out_dir or ".") / name
-        milp.emit_lp(model, path)
-        return CellResult(report=None, placements=[], served_count=0,
-                          wall_time_s=time.perf_counter() - start,
-                          lp_path=str(path), object_count=objects)
+            served = len(solution.assignment)
     except milp.ResourceBudgetError as exc:
         return CellResult(report=None, placements=[], served_count=0,
                           wall_time_s=time.perf_counter() - start,
                           error=str(exc), object_count=objects)
+    return CellResult(report=report,
+                      placements=_placement_rows(instance, solution),
+                      served_count=served,
+                      wall_time_s=time.perf_counter() - start,
+                      object_count=objects)
 
 
 @dataclass
@@ -158,16 +154,19 @@ def run_sweep(spec: SweepSpec, out_dir: str | Path | None = None,
     """Execute every (scenario, reduction, engine, seed) cell.  Cells are
     independent; with ``jobs > 1`` they run in worker processes and are
     merged by key, so the result is identical for any job count.  Cells
-    run seed by seed, so that consecutive cells share one instance."""
+    run seed by seed, so that consecutive cells share one instance.  The
+    spec and ``jobs`` are checked before any cell runs, and ``out_dir``,
+    if given, is created only after they pass."""
     spec.validate()
+    if jobs < 1:
+        raise SweepError(f"jobs must be at least 1, not {jobs}")
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     keys = [CellKey(sc, r, eng, seed)
             for sc in spec.scenarios for r in spec.reductions
             for eng in spec.engines for seed in spec.seeds]
     order = sorted(keys, key=lambda key: spec.seeds.index(key.seed))
-    args = (order, repeat(spec.scale), repeat(spec.capacity_enforced),
-            repeat(str(out_dir) if out_dir is not None else None))
+    args = (order, repeat(spec.scale), repeat(spec.capacity_enforced))
     try:
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -179,30 +178,23 @@ def run_sweep(spec: SweepSpec, out_dir: str | Path | None = None,
     return SweepResult(spec=spec, cells={key: cells[key] for key in keys})
 
 
-def savings_summary(result: SweepResult, engine: str | None = None) -> list[dict]:
-    """Relative total-power saving of scenario 1 vs scenarios 2 and 3,
-    seed-averaged, both summed over the reduction set and per reduction.
-    Requires all three scenarios for the chosen engine(s), and an engine
-    that reports power: ``lp-export`` writes models only."""
-    engines = [e for e in ([engine] if engine else result.spec.engines)
-               if e != "lp-export"]
-    if not engines:
-        raise SweepError("no engine in the sweep reports power; lp-export "
-                         "writes models only")
+def savings_summary(result: SweepResult) -> list[dict]:
+    """Relative total-power saving of scenario 1 vs scenarios 2 and 3, per
+    engine, seed-averaged, both summed over the reduction set and per
+    reduction.  Requires all three scenarios, and every cell to have served
+    all its objects."""
+    missing = [sc for sc in (1, 2, 3) if sc not in result.spec.scenarios]
+    if missing:
+        raise SweepError(f"savings need scenarios 1-3; missing {missing}")
+    for key, cell in result.cells.items():
+        if cell.report is None:
+            raise SweepError(f"cell {key} failed: {cell.error}")
+        if cell.served_count < cell.object_count:
+            raise SweepError(f"cell {key} served {cell.served_count} of "
+                             f"{cell.object_count} objects; its total "
+                             f"leaves the rest out")
     rows: list[dict] = []
-    for eng in engines:
-        missing = [sc for sc in (1, 2, 3) if sc not in result.spec.scenarios]
-        if missing:
-            raise SweepError(f"savings need scenarios 1-3; missing {missing}")
-        for key, cell in result.cells.items():
-            if key.engine != eng:
-                continue
-            if cell.report is None:
-                raise SweepError(f"cell {key} failed: {cell.error}")
-            if cell.served_count < cell.object_count:
-                raise SweepError(f"cell {key} served {cell.served_count} of "
-                                 f"{cell.object_count} objects; its total "
-                                 f"leaves the rest out")
+    for eng in result.spec.engines:
         totals = {sc: sum(result.seed_mean_total(sc, r, eng)
                           for r in result.spec.reductions)
                   for sc in (1, 2, 3)}
@@ -244,7 +236,7 @@ def write_sweep_csv(result: SweepResult, path: str | Path) -> None:
                 w.writerow([key.scenario, key.reduction, key.engine, key.seed,
                             "", "", "", "", "", cell.served_count,
                             f"{cell.wall_time_s:.4f}",
-                            cell.error or cell.lp_path or ""])
+                            cell.error or ""])
                 continue
             report = cell.report
             scaled = report.traffic_w_scaled()

@@ -17,11 +17,7 @@ capacitated facility-location MILP, solved by HiGHS (``scipy.optimize.milp``):
 where ``up[o][c]`` and ``proc[c]`` are the per-bit costs of the cheapest
 object-to-candidate and candidate-to-OLT paths, ``d`` the demand and ``f``
 the remaining traffic fraction.  Ties: lowest cost first, then each object
-at its cheapest open candidate, exact ties to the smallest node id.  The
-earlier exhaustive engine also took the lexicographically smallest
-placement bit-vector among exact-cost ties; that rule is dropped, as it
-decided only exact ties and changed no placement on 645 reduced-scale and
-oracle-corpus instances.
+at its cheapest open candidate, exact ties to the smallest node id.
 """
 
 from __future__ import annotations

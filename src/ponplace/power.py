@@ -129,16 +129,22 @@ class ModelParams:
         """Fraction of a cloudlet's inflow that continues to the OLT."""
         return 1.0 - self.reduction_pct
 
+    @staticmethod
+    def check_scenario(scenario: int, reduction_pct: float) -> None:
+        """Refuse a scenario outside 1-3 or a reduction outside [0, 1)."""
+        if scenario not in (1, 2, 3):
+            raise ModelError(f"unknown scenario {scenario}")
+        if not 0.0 <= reduction_pct < 1.0:
+            raise ModelError(f"reduction_pct {reduction_pct!r} must lie in "
+                             f"[0, 1)")
+
     @classmethod
     def for_scenario(cls, scenario: int, reduction_pct: float,
                      vm_types: int = 4, **overrides) -> "ModelParams":
         """Scenario 1: heterogeneous VM CPU demands.  Scenario 2: all types
         at the heaviest demand.  Scenario 3: as 2, with an inefficient OLT
         CPU (9.28 W)."""
-        if scenario not in (1, 2, 3):
-            raise ModelError(f"unknown scenario {scenario}")
-        if not 0.0 <= reduction_pct < 1.0:
-            raise ModelError("reduction_pct must lie in [0, 1)")
+        cls.check_scenario(scenario, reduction_pct)
         if scenario == 1:
             workloads = WorkloadTable.heterogeneous(vm_types)
         else:

@@ -111,21 +111,12 @@ def test_sweep_partial_scenarios_skips_savings(tmp_path, capsys):
     assert not (tmp_path / "savings.csv").exists()
 
 
-def test_lp_export_only_sweep_skips_savings(tmp_path, capsys):
-    code, out, _ = run(capsys, "sweep", "--scale", "reduced",
-                       "--scenarios", "1,2,3", "--reductions", "0.5",
-                       "--engine", "lp-export", "--out", str(tmp_path))
-    assert code == 0
-    assert "savings skipped: no engine in the sweep reports power" in out
-    assert not (tmp_path / "savings.csv").exists()
-    assert len(list(tmp_path.glob("model_s?_r50_seed7.lp"))) == 3
-
-
 def test_bad_reduction_exits_1(tmp_path, capsys):
     code, _, err = run(capsys, "solve", "--scale", "reduced",
-                       "--reduction", "1.5", "--out", str(tmp_path))
+                       "--reduction", "1.5", "--out", str(tmp_path / "nd"))
     assert code == 1
     assert "error:" in err
+    assert not (tmp_path / "nd").exists()
 
 
 def test_config_file(tmp_path, capsys):
@@ -145,10 +136,10 @@ def test_config_with_scale_exits_1(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"model": {"scenario": 2}}))
     code, out, err = run(capsys, "heuristic", "--config", str(path),
-                         "--scale", "reduced", "--out", str(tmp_path))
+                         "--scale", "reduced", "--out", str(tmp_path / "nd"))
     assert code == 1
     assert "--scale" in err and "--config" in err
-    assert not (tmp_path / "solution.txt").exists()
+    assert not (tmp_path / "nd").exists()
 
 
 @pytest.mark.parametrize("flag", [["--scenario", "3"], ["--reduction", "0.9"],
@@ -221,16 +212,31 @@ def test_sweep_rejects_single_value_flags(tmp_path, capsys, flag, value,
                                           plural):
     code, _, err = run(capsys, "sweep", "--scale", "reduced",
                        "--scenarios", "1", "--reductions", "0.5",
-                       flag, value, "--out", str(tmp_path))
+                       flag, value, "--out", str(tmp_path / "nd"))
     assert code == 1
     assert plural in err
-    assert not (tmp_path / "sweep.csv").exists()
+    assert not (tmp_path / "nd").exists()
 
 
 def test_sweep_rejects_config(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"model": {"scenario": 3}}))
     code, _, err = run(capsys, "sweep", "--config", str(path),
-                       "--out", str(tmp_path))
+                       "--out", str(tmp_path / "nd"))
     assert code == 1
     assert "--config" in err
+    assert not (tmp_path / "nd").exists()
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--engine", "lp-export"], "export-lp"),
+    (["--scenarios", "4"], "unknown scenario 4"),
+    (["--reductions", "0.5,1.5"], "1.5"),
+    (["--jobs", "0"], "jobs")], ids=["lp-export", "scenario", "reduction",
+                                     "jobs"])
+def test_sweep_refusals_leave_no_directory(tmp_path, capsys, flags, named):
+    code, _, err = run(capsys, "sweep", "--scale", "reduced", *flags,
+                       "--out", str(tmp_path / "nd"))
+    assert code == 1
+    assert named in err
+    assert not (tmp_path / "nd").exists()

@@ -66,22 +66,28 @@ def test_savings_requires_all_scenarios():
         savings_summary(result)
 
 
-def test_savings_refuse_lp_export_only():
-    only = SweepResult(spec=SweepSpec(engines=("lp-export",)))
-    with pytest.raises(SweepError, match="no engine in the sweep reports"):
-        savings_summary(only)
-    mixed = SweepResult(spec=SweepSpec(engines=("eepiv", "lp-export")))
-    with pytest.raises(SweepError, match="no engine in the sweep reports"):
-        savings_summary(mixed, engine="lp-export")
-
-
-def test_spec_validation():
+def test_spec_validation(tmp_path):
     with pytest.raises(SweepError):
         SweepSpec(reductions=()).validate()
     with pytest.raises(SweepError):
         SweepSpec(engines=("simplex",)).validate()
+    with pytest.raises(SweepError, match="ponplace export-lp"):
+        SweepSpec(engines=("eepiv", "lp-export")).validate()
     with pytest.raises(SweepError):
         SweepSpec(scale="huge").validate()
+    with pytest.raises(SweepError, match="unknown scenario 4"):
+        SweepSpec(scenarios=(1, 4)).validate()
+    for bad in (1.5, 1.0, -0.1):
+        with pytest.raises(SweepError, match="must lie in"):
+            SweepSpec(reductions=(0.5, bad)).validate()
+    # refused before any cell runs or the output directory is made
+    for jobs in (0, -3):
+        with pytest.raises(SweepError, match="jobs"):
+            run_sweep(SweepSpec(scale="reduced"), out_dir=tmp_path / "nd",
+                      jobs=jobs)
+    with pytest.raises(SweepError):
+        run_sweep(SweepSpec(scenarios=(4,)), out_dir=tmp_path / "nd")
+    assert not (tmp_path / "nd").exists()
 
 
 def test_parallel_matches_serial():
@@ -107,16 +113,6 @@ def test_exact_engine_runs_at_paper_scale():
         assert exact.served_count == exact.object_count
         eepiv = result.cell(key.scenario, key.reduction, "eepiv", key.seed)
         assert exact.report.total_w <= eepiv.report.total_w
-
-
-def test_lp_export_engine(tmp_path):
-    spec = SweepSpec(scenarios=(2,), reductions=(0.1,), engines=("lp-export",),
-                     seeds=(7,), scale="reduced")
-    result = run_sweep(spec, out_dir=tmp_path)
-    cell = result.cell(2, 0.1, "lp-export", 7)
-    assert cell.lp_path is not None and cell.lp_path.endswith(
-        "model_s2_r10_seed7.lp")
-    assert (tmp_path / "model_s2_r10_seed7.lp").exists()
 
 
 def test_csv_outputs(small_sweep, tmp_path):
