@@ -53,6 +53,13 @@ class SweepSpec:
                 or not self.seeds:
             raise SweepError("scenarios, reductions, engines and seeds "
                              "must all be non-empty")
+        for name in ("scenarios", "reductions", "engines", "seeds"):
+            values = getattr(self, name)
+            repeated = next((v for i, v in enumerate(values)
+                             if v in values[:i]), None)
+            if repeated is not None:
+                raise SweepError(f"{name} lists {repeated!r} more than once; "
+                                 f"each cell is run once")
         if "lp-export" in self.engines:
             raise SweepError("lp-export is not a sweep engine; write the "
                              "model with `ponplace export-lp`")

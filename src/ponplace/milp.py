@@ -107,7 +107,10 @@ def build_model(instance: NetworkInstance, params: ModelParams) -> MilpModel:
     workload bookkeeping) over the instance.
 
     Unprocessed commodity variables exist only for same-network
-    (object, candidate) pairs plus the OLT; processed traffic lives on the
+    (object, candidate) pairs plus the OLT.  Each commodity of object ``o``
+    spans the links of ``o``'s network and the OLT that do not leave
+    another object: no link enters an object, so conservation would hold
+    the flow on those links at 0.  Processed traffic lives on the
     candidate-only subgraph and the OLT-hosted cloudlet generates none.
     """
     require_known_vm_types(instance, params)
@@ -154,10 +157,12 @@ def build_model(instance: NetworkInstance, params: ModelParams) -> MilpModel:
         return names
 
     def aggregate(family, totals, commodities, graphs) -> None:
-        """Each link's total variable is the sum of its commodities'."""
-        along: dict[str, tuple[str, ...]] = {}
-        for net, names in commodities.items():
-            along.update(zip(graphs[net][0], zip(*names)))
+        """Each link's total variable is the sum of its commodities', over
+        every graph the link lies in."""
+        along: dict[str, list[str]] = {}
+        for key, names in commodities.items():
+            for s, column in zip(graphs[key][0], zip(*names)):
+                along.setdefault(s, []).extend(column)
         for s, total in totals.items():
             row(family + s, {total: 1.0, **dict.fromkeys(along.get(s, ()), -1.0)},
                 "=", 0.0)
@@ -169,11 +174,15 @@ def build_model(instance: NetworkInstance, params: ModelParams) -> MilpModel:
         for v in range(vm_types):
             var(f"Iv_{c}_{v}", "binary")
 
-    # Per-network node orders and link sets, shared by every commodity.
+    # Node orders and link sets, each shared by every commodity on it: per
+    # object its network without the other objects, per network its
+    # candidates.
     net_ids = sorted({n.network_id for n in instance.nodes
                       if n.network_id != OLT_NETWORK_ID})
     net_nodes = {net: set(instance.network_node_ids(net)) for net in net_ids}
-    graph_u = {net: flow_graph(net_nodes[net]) for net in net_ids}
+    core = {net: net_nodes[net].difference(objects) for net in net_ids}
+    graph_o = {o: flow_graph(core[instance.network_of(o)] | {o})
+               for o in objects}
     graph_p = {net: flow_graph((net_nodes[net] & cn) | {olt})
                for net in net_ids}
 
@@ -203,13 +212,10 @@ def build_model(instance: NetworkInstance, params: ModelParams) -> MilpModel:
             senders.setdefault((c, v), []).append(xovc[o, c])
 
     # (15)/(16): unprocessed per-commodity conservation and aggregation.
-    flows_u: dict[int, list[list[str]]] = {net: [] for net in net_ids}
-    for o in objects:
-        net = instance.network_of(o)
-        for c in visible[o]:
-            flows_u[net].append(commodity(f"xuf_{o}_{c}", f"fc15_{o}_{c}_",
-                                          graph_u[net], o, c, xoc[o, c]))
-    aggregate("ag16", lu, flows_u, graph_u)
+    flows_u = {o: [commodity(f"xuf_{o}_{c}", f"fc15_{o}_{c}_", graph_o[o],
+                             o, c, xoc[o, c]) for c in visible[o]]
+               for o in objects}
+    aggregate("ag16", lu, flows_u, graph_o)
 
     # (17)-(19): traffic reduction and processed-commodity conservation.
     flows_p: dict[int, list[list[str]]] = {net: [] for net in net_ids}

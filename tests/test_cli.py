@@ -232,8 +232,13 @@ def test_sweep_rejects_config(tmp_path, capsys):
     (["--engine", "lp-export"], "export-lp"),
     (["--scenarios", "4"], "unknown scenario 4"),
     (["--reductions", "0.5,1.5"], "1.5"),
-    (["--jobs", "0"], "jobs")], ids=["lp-export", "scenario", "reduction",
-                                     "jobs"])
+    (["--jobs", "0"], "jobs"),
+    (["--scenarios", "1,1"], "scenarios lists 1 more than once"),
+    (["--engine", "eepiv", "--engine", "eepiv"],
+     "engines lists 'eepiv' more than once"),
+    (["--seeds", "7,8,7"], "seeds lists 7 more than once")],
+    ids=["lp-export", "scenario", "reduction", "jobs", "repeated-scenario",
+         "repeated-engine", "repeated-seed"])
 def test_sweep_refusals_leave_no_directory(tmp_path, capsys, flags, named):
     code, _, err = run(capsys, "sweep", "--scale", "reduced", *flags,
                        "--out", str(tmp_path / "nd"))

@@ -80,6 +80,13 @@ def test_spec_validation(tmp_path):
     for bad in (1.5, 1.0, -0.1):
         with pytest.raises(SweepError, match="must lie in"):
             SweepSpec(reductions=(0.5, bad)).validate()
+    # a repeated value would run its cells more than once
+    for field, values, named in (("scenarios", (1, 2, 1), "1"),
+                                 ("reductions", (0.5, 0.5), "0.5"),
+                                 ("engines", ("eepiv", "eepiv"), "'eepiv'"),
+                                 ("seeds", (7, 8, 8), "8")):
+        with pytest.raises(SweepError, match=f"{field} lists {named} more"):
+            replace(SweepSpec(scale="reduced"), **{field: values}).validate()
     # refused before any cell runs or the output directory is made
     for jobs in (0, -3):
         with pytest.raises(SweepError, match="jobs"):

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,72 @@ class TestModelCounts:
         assert any(n.startswith("TW_") for n in named)
         assert any(n.startswith("lu_") for n in named)
         assert any(n.startswith("lp_") for n in named)
+
+
+class TestCommodityGraphs:
+    """Each unprocessed commodity of object ``o`` spans ``o``'s network and
+    the OLT without the other objects there: no link enters an object, so
+    a commodity's flow on another object's out-links could only be 0."""
+
+    @pytest.fixture(scope="class")
+    def params(self):
+        return ModelParams.for_scenario(2, 0.3)
+
+    @pytest.fixture(scope="class")
+    def model(self, reduced_instance, params):
+        return build_model(reduced_instance, params)
+
+    def test_nothing_at_another_object(self, reduced_instance, model):
+        objects = set(reduced_instance.objects())
+        xuf = [tuple(map(int, name.split("_")[1:])) for name in model.variables
+               if name.startswith("xuf_")]
+        fc15 = [tuple(map(int, row.name.split("_")[1:])) for row in model.rows
+                if row.name.startswith("fc15_")]
+        assert xuf and fc15
+        assert all(x == o or x not in objects for o, _, x, _ in xuf)
+        assert all(x == o or x not in objects for o, _, x in fc15)
+
+    def test_commodity_variable_count(self, reduced_instance, model):
+        inst = reduced_instance
+        objects = set(inst.objects())
+
+        def spanned(o):
+            """Links of ``o``'s network that do not leave another object."""
+            nodes = set(inst.network_node_ids(inst.network_of(o)))
+            return sum(1 for ln in inst.links
+                       if ln.src in nodes and ln.dst in nodes
+                       and (ln.src == o or ln.src not in objects))
+
+        counts = model.counts()
+        assert counts["vars_xuf"] == sum(
+            len(inst.visible_candidates(o)) * spanned(o) for o in objects)
+        assert counts["vars_xuf"] == 8832
+        assert len(model.variables) == 10238
+        assert counts["constraints"] == 4462
+
+    def test_flow_on_a_dropped_link_is_flagged(self, reduced_instance, params,
+                                               model, tmp_path):
+        inst = reduced_instance
+        sol, flows, _ = solve_exact(inst, params)
+        o, c = next(iter(flows.upt_commodity))
+        other = next(x for x in inst.objects()
+                     if x != o and inst.network_of(x) == inst.network_of(o))
+        y = inst.out_links[other][0].dst
+        name = f"xuf_{o}_{c}_{other}_{y}"
+        assert name not in model.variables
+        path = write_solution_values(tmp_path / "sol.txt", sol, flows)
+        with open(path, "a") as fh:
+            fh.write(f"{name} 1000\n")
+        # an instance link, so the import takes it and the validator, not
+        # the import, names the broken conservation row
+        sol2, flows2 = solution_from_values(load_solution_values(path),
+                                            inst, params)
+        assert flows2.upt_commodity[o, c][other, y] == 1000.0
+        check = validate_solution(sol2, flows2, inst, params)
+        assert {v.family for v in check.violations} == {
+            "flow_conservation_unprocessed"}
+        assert {v.row for v in check.violations} == {
+            f"fc15_{o}_{c}_{other}", f"fc15_{o}_{c}_{y}"}
 
 
 class TestEmission:
@@ -216,14 +283,14 @@ class TestExportBytes:
 
     @pytest.mark.parametrize("flags, digests", [
         (["--seed", "7", "--scenario", "1", "--reduction", "0.1"], (
-            "a3e52b76684007bc79ddfb13e2647b64435c586b5863ae22fb772168beaf9556",
-            "ebacbc214103e7d6fc1768c0672fccd2211e89ed5514a635429972045fa0786f",
-            "a3d1ea67cf740d17622c98ef063185e238279c051c712efdbb8b1d8d3848ea68")),
+            "eff0a9a59820c959274e19ebf0b7b92fc80d6955bae23125408f9ab6618b07a0",
+            "dc87bdac377a2e8faf2b2ccdc28d72eddd0e4cc9115849ffebb7b97714c6c56f",
+            "dc23d93b8230d0589a0ef853c8e7756d5298d18364e6256336891ba8c268ff0f")),
         (["--seed", "12345", "--scenario", "3", "--reduction", "0.9",
           "--no-capacity"], (
-            "73ba6c22fcf1c32eab137f071a50761261e888fb2df53fe8e1c4526b7b543110",
-            "ebacbc214103e7d6fc1768c0672fccd2211e89ed5514a635429972045fa0786f",
-            "41f8fca90713b67ba0bd720ac5cef8187ecdda9a9173d7cc89773b79a752225f")),
+            "a50238d721225b2eb19b6553c6432864ef2a714acca8a336102a2ef1692ebac0",
+            "dc87bdac377a2e8faf2b2ccdc28d72eddd0e4cc9115849ffebb7b97714c6c56f",
+            "8af698fb359266276c00c0549530751d10e87fae3714d0ca1358b171e3df9dfe")),
     ], ids=["seed7", "seed12345"])
     def test_reduced_export_lp(self, flags, digests, tmp_path, capsys):
         assert main(["export-lp", "--scale", "reduced", *flags, "--mps",
@@ -231,19 +298,36 @@ class TestExportBytes:
         assert export_digests(tmp_path) == digests
 
 
+@lru_cache(maxsize=None)
+def reduced_seed(seed: int) -> pp.NetworkInstance:
+    return pp.build_instance(topology_for_scale("reduced", seed))
+
+
+#: Reduced-scale export cases as ``(seed, params)``: seeds 7, 11 and 12345
+#: under scenarios 1-3 at r=0.3 ("reduced" is seed 7, scenario 2), and one
+#: model without the capacity rows.
+REDUCED_CASES = {
+    ("reduced" if (seed, scenario) == (7, 2) else f"seed{seed}-s{scenario}"):
+    (seed, ModelParams.for_scenario(scenario, 0.3))
+    for seed in (7, 11, 12345) for scenario in (1, 2, 3)}
+REDUCED_CASES["seed12345-s3-r0.9-no-capacity"] = (
+    12345, ModelParams.for_scenario(3, 0.9, capacity_enforced=False))
+
+
 class TestExportSemantics:
     """The emitted files state the model: LP and MPS carry exactly the rows,
     coefficients, senses, right-hand sides and binaries of the model, and
     the MPS file's optimum is the exact engine's total."""
 
-    @pytest.fixture(scope="class")
-    def reduced(self):
-        inst = pp.build_instance(topology_for_scale("reduced", 7))
-        return inst, ModelParams.for_scenario(2, 0.3)
+    @pytest.fixture(scope="class", params=["chain", *REDUCED_CASES])
+    def case(self, request, chain):
+        if request.param == "chain":
+            return chain
+        seed, params = REDUCED_CASES[request.param]
+        return reduced_seed(seed), params
 
-    @pytest.mark.parametrize("case", ["chain", "reduced"])
-    def test_lp_and_mps_state_the_model(self, case, chain, reduced, tmp_path):
-        inst, params = chain if case == "chain" else reduced
+    def test_lp_and_mps_state_the_model(self, case, tmp_path):
+        inst, params = case
         model = build_model(inst, params)
         lp = read_lp(emit_lp(model, tmp_path / "model.lp"))
         mps = read_mps(emit_mps(model, tmp_path / "model.mps"))
@@ -257,10 +341,8 @@ class TestExportSemantics:
         assert binaries == {v for v, var in model.variables.items()
                             if var.kind == "binary"}
 
-    @pytest.mark.parametrize("case", ["chain", "reduced"])
-    def test_mps_optimum_is_the_exact_total(self, case, chain, reduced,
-                                            tmp_path):
-        inst, params = chain if case == "chain" else reduced
+    def test_mps_optimum_is_the_exact_total(self, case, tmp_path):
+        inst, params = case
         path = emit_mps(build_model(inst, params), tmp_path / "model.mps")
         _, _, report = solve_exact(inst, params)
         assert solve_mps(path) == pytest.approx(report.total_w, rel=1e-9)
