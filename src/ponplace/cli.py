@@ -20,12 +20,32 @@ from .power import ModelParams
 from .topology import TopologyConfig, build_instance, write_csv
 
 
+def _value(flag: str, text: str, item: str, kind: type):
+    """``item`` of ``--flag text`` as a ``kind``; a ValueError naming the
+    flag and the item if it is not one."""
+    try:
+        return kind(item)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"--{flag} {text!r}: {item!r} is not {what}") \
+            from None
+
+
+def _parse_list(flag: str, text: str, kind: type) -> tuple:
+    """The comma-separated values of ``--flag text``."""
+    return tuple(_value(flag, text, item, kind) for item in text.split(","))
+
+
 def _parse_seeds(text: str) -> tuple[int, ...]:
     """'1,2,5' or '1..10' (inclusive range)."""
-    if ".." in text:
-        lo, hi = text.split("..")
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(s) for s in text.split(","))
+    if ".." not in text:
+        return _parse_list("seeds", text, int)
+    bounds = text.split("..")
+    if len(bounds) != 2:
+        raise ValueError(f"--seeds {text!r}: a range is 'first..last', "
+                         f"like '1..10'")
+    lo, hi = (_value("seeds", text, bound, int) for bound in bounds)
+    return tuple(range(lo, hi + 1))
 
 
 def _add_topology_flags(p: argparse.ArgumentParser) -> None:
@@ -114,6 +134,10 @@ def main(argv=None) -> int:
     except (milp.InfeasibleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # an input file that cannot be read, or --out
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename
+              else f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def _dispatch(args) -> int:
@@ -130,8 +154,8 @@ def _dispatch(args) -> int:
                 raise ValueError(f"sweep does not read --{flag}; use "
                                  f"--{plural}")
         spec = experiments.SweepSpec(
-            scenarios=tuple(int(s) for s in args.scenarios.split(",")),
-            reductions=tuple(float(r) for r in args.reductions.split(",")),
+            scenarios=_parse_list("scenarios", args.scenarios, int),
+            reductions=_parse_list("reductions", args.reductions, float),
             engines=tuple(args.engines or ["eepiv"]),
             seeds=(_parse_seeds(args.seeds) if args.seeds
                    else (TopologyConfig.rng_seed,)),

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -65,12 +65,6 @@ def require_known_vm_types(instance: NetworkInstance,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Variable:
-    name: str
-    kind: str  # "continuous" | "binary"
-
-
-@dataclass(frozen=True)
 class Row:
     name: str
     coeffs: dict[str, float]
@@ -78,27 +72,165 @@ class Row:
     rhs: float
 
 
+@dataclass(frozen=True, eq=False)
+class FlowGraph:
+    """Links among a set of nodes, shared by every commodity routed there:
+    ``links`` holds each link's ``_src_dst`` suffix and ``nodes``, per node
+    in id order, the positions in ``links`` of its outgoing and incoming
+    ones."""
+
+    links: list[str]
+    nodes: list[tuple[int, list[int], list[int]]]
+
+
+@dataclass(frozen=True)
+class Commodity:
+    """``rate`` leaves ``source`` and reaches ``sink`` over ``graph``: one
+    variable ``prefix + s`` per link suffix ``s`` and one conservation row
+    ``row_prefix + str(x)`` per node ``x``, held as this record alone."""
+
+    prefix: str
+    row_prefix: str
+    graph: FlowGraph
+    source: int
+    sink: int
+    rate: str
+
+    def rows(self) -> Iterator[Row]:
+        names = [self.prefix + s for s in self.graph.links]
+        for x, outs, ins in self.graph.nodes:
+            coeffs = dict.fromkeys([names[i] for i in outs], 1.0)
+            coeffs.update(dict.fromkeys([names[i] for i in ins], -1.0))
+            if x == self.source or x == self.sink:
+                coeffs[self.rate] = -1.0 if x == self.source else 1.0
+            yield Row(f"{self.row_prefix}{x}", coeffs, "=", 0.0)
+
+
+def _key(com: Commodity) -> str:
+    """Where the commodity's variables sort among all names: each is
+    ``prefix + "_src_dst"``, and no other name starts with this key."""
+    return com.prefix + "_"
+
+
+@dataclass(frozen=True)
+class Aggregate:
+    """Rows ``family + s``: link ``s``'s total ``totals[s]`` is the sum of
+    the variables that ``commodities`` have on it."""
+
+    family: str
+    totals: dict[str, str]
+    commodities: list[Commodity]
+
+    def along(self) -> dict[str, list[str]]:
+        """Per link suffix ``s``, the prefixes of the commodities on it, in
+        the name order of their variables ``prefix + s``."""
+        along: dict[str, list[str]] = {s: [] for s in self.totals}
+        for com in sorted(self.commodities, key=_key):
+            for s in com.graph.links:
+                along[s].append(com.prefix)
+        return along
+
+    def rows(self) -> Iterator[Row]:
+        along = self.along()
+        for s, total in self.totals.items():
+            yield Row(self.family + s, {total: 1.0, **dict.fromkeys(
+                [prefix + s for prefix in along[s]], -1.0)}, "=", 0.0)
+
+
 @dataclass
 class MilpModel:
-    variables: dict[str, Variable]
+    """The arc model.  ``kinds`` gives the kind ("continuous" or "binary")
+    of each variable outside the commodities; ``blocks`` holds the rows in
+    order, with each commodity's conservation rows and each aggregate
+    family as one record.  ``variables`` and ``rows`` read the whole
+    model, those records expanded."""
+
+    kinds: dict[str, str]
     objective: dict[str, float]
-    rows: list[Row]
+    blocks: list[Row | Commodity | Aggregate]
+
+    def commodities(self) -> Iterator[Commodity]:
+        return (com for part in self.blocks if isinstance(part, Aggregate)
+                for com in part.commodities)
+
+    @property
+    def variables(self) -> "_Variables":
+        return _Variables(self)
+
+    @property
+    def rows(self) -> "_Rows":
+        return _Rows(self.blocks)
 
     def counts(self) -> dict[str, int]:
-        out = {
-            "continuous": sum(1 for v in self.variables.values()
-                              if v.kind == "continuous"),
-            "binary": sum(1 for v in self.variables.values()
-                          if v.kind == "binary"),
-            "constraints": len(self.rows),
-        }
-        for row in self.rows:
-            fam = row.name.split("_", 1)[0]
-            out[f"rows_{fam}"] = out.get(f"rows_{fam}", 0) + 1
-        for var in self.variables.values():
-            fam = var.name.split("_", 1)[0]
-            out[f"vars_{fam}"] = out.get(f"vars_{fam}", 0) + 1
+        out = {"continuous": 0, "binary": 0, "constraints": 0}
+
+        def add(key: str, n: int) -> None:
+            if n:
+                out[key] = out.get(key, 0) + n
+
+        for part in self.blocks:
+            name, n = _row_count(part)
+            out["constraints"] += n
+            add("rows_" + name.split("_", 1)[0], n)
+        for name, kind in self.kinds.items():
+            out[kind] += 1
+            add("vars_" + name.split("_", 1)[0], 1)
+        for com in self.commodities():
+            out["continuous"] += len(com.graph.links)
+            add("vars_" + com.prefix.split("_", 1)[0], len(com.graph.links))
         return out
+
+
+def _row_count(part: Row | Commodity | Aggregate) -> tuple[str, int]:
+    """A name of the block's rows, and how many rows it holds."""
+    if isinstance(part, Commodity):
+        return part.row_prefix, len(part.graph.nodes)
+    if isinstance(part, Aggregate):
+        return part.family, len(part.totals)
+    return part.name, 1
+
+
+class _Rows:
+    """Every row of a model, in order."""
+
+    def __init__(self, blocks: list[Row | Commodity | Aggregate]):
+        self.blocks = blocks
+
+    def __len__(self) -> int:
+        return sum(_row_count(part)[1] for part in self.blocks)
+
+    def __iter__(self) -> Iterator[Row]:
+        for part in self.blocks:
+            if isinstance(part, Row):
+                yield part
+            else:
+                yield from part.rows()
+
+
+class _Variables(Mapping):
+    """Name -> kind of every variable of a model."""
+
+    def __init__(self, model: MilpModel):
+        self.kinds = model.kinds
+        self.by_prefix = {com.prefix: com for com in model.commodities()}
+
+    def __len__(self) -> int:
+        return len(self.kinds) + sum(len(com.graph.links)
+                                     for com in self.by_prefix.values())
+
+    def __iter__(self) -> Iterator[str]:
+        yield from self.kinds
+        for prefix, com in self.by_prefix.items():
+            yield from (prefix + s for s in com.graph.links)
+
+    def __getitem__(self, name: str) -> str:
+        if name in self.kinds:
+            return self.kinds[name]
+        prefix = name.rsplit("_", 2)[0]  # a link suffix is "_src_dst"
+        com = self.by_prefix.get(prefix)
+        if com is None or name[len(prefix):] not in com.graph.links:
+            raise KeyError(name)
+        return "continuous"
 
 
 def build_model(instance: NetworkInstance, params: ModelParams) -> MilpModel:
@@ -112,6 +244,8 @@ def build_model(instance: NetworkInstance, params: ModelParams) -> MilpModel:
     another object: no link enters an object, so conservation would hold
     the flow on those links at 0.  Processed traffic lives on the
     candidate-only subgraph and the OLT-hosted cloudlet generates none.
+    Each commodity is one ``Commodity`` on a ``FlowGraph`` shared by all
+    commodities of its object (unprocessed) or network (processed).
     """
     require_known_vm_types(instance, params)
     cand = candidate_nodes(instance)
@@ -122,50 +256,29 @@ def build_model(instance: NetworkInstance, params: ModelParams) -> MilpModel:
     objects = instance.objects()
     visible = {o: instance.visible_candidates(o) for o in objects}
 
-    variables: dict[str, Variable] = {}
+    kinds: dict[str, str] = {}
     objective: dict[str, float] = {}
-    rows: list[Row] = []
+    blocks: list[Row | Commodity | Aggregate] = []
 
     def var(name: str, kind: str = "continuous") -> str:
-        variables[name] = Variable(name, kind)
+        kinds[name] = kind
         return name
 
     def row(name, coeffs, sense, rhs) -> None:
-        rows.append(Row(name, coeffs, sense, rhs))
+        blocks.append(Row(name, coeffs, sense, rhs))
 
-    def flow_graph(nodes: set[int]):
-        """``_src_dst`` of each link among ``nodes``, and per node in id
-        order the positions in that list of its outgoing and incoming ones."""
+    def flow_graph(nodes: set[int]) -> FlowGraph:
         links = [ln for ln in instance.links
                  if ln.src in nodes and ln.dst in nodes]
         at = {(ln.src, ln.dst): i for i, ln in enumerate(links)}
-        return [f"_{ln.src}_{ln.dst}" for ln in links], [
+        return FlowGraph([f"_{ln.src}_{ln.dst}" for ln in links], [
             (x, [at[x, ln.dst] for ln in instance.out_links[x] if ln.dst in nodes],
              [at[ln.src, x] for ln in instance.in_links[x] if ln.src in nodes])
-            for x in sorted(nodes)]
+            for x in sorted(nodes)])
 
-    def commodity(prefix, row_prefix, graph, source, sink, rate) -> list[str]:
-        """A commodity's link variables and conservation rows: ``rate``
-        leaves ``source`` and reaches ``sink``."""
-        names = [var(prefix + s) for s in graph[0]]
-        for x, outs, ins in graph[1]:
-            coeffs = dict.fromkeys([names[i] for i in outs], 1.0)
-            coeffs.update(dict.fromkeys([names[i] for i in ins], -1.0))
-            if x == source or x == sink:
-                coeffs[rate] = -1.0 if x == source else 1.0
-            row(f"{row_prefix}{x}", coeffs, "=", 0.0)
-        return names
-
-    def aggregate(family, totals, commodities, graphs) -> None:
-        """Each link's total variable is the sum of its commodities', over
-        every graph the link lies in."""
-        along: dict[str, list[str]] = {}
-        for key, names in commodities.items():
-            for s, column in zip(graphs[key][0], zip(*names)):
-                along.setdefault(s, []).extend(column)
-        for s, total in totals.items():
-            row(family + s, {total: 1.0, **dict.fromkeys(along.get(s, ()), -1.0)},
-                "=", 0.0)
+    def commodity(*fields) -> Commodity:
+        blocks.append(Commodity(*fields))
+        return blocks[-1]
 
     # Placement binaries and workloads for every (candidate, type) pair.
     for c in cand:
@@ -212,23 +325,22 @@ def build_model(instance: NetworkInstance, params: ModelParams) -> MilpModel:
             senders.setdefault((c, v), []).append(xovc[o, c])
 
     # (15)/(16): unprocessed per-commodity conservation and aggregation.
-    flows_u = {o: [commodity(f"xuf_{o}_{c}", f"fc15_{o}_{c}_", graph_o[o],
-                             o, c, xoc[o, c]) for c in visible[o]]
-               for o in objects}
-    aggregate("ag16", lu, flows_u, graph_o)
+    flows_u = [commodity(f"xuf_{o}_{c}", f"fc15_{o}_{c}_", graph_o[o],
+                         o, c, xoc[o, c])
+               for o in objects for c in visible[o]]
+    blocks.append(Aggregate("ag16", lu, flows_u))
 
     # (17)-(19): traffic reduction and processed-commodity conservation.
-    flows_p: dict[int, list[list[str]]] = {net: [] for net in net_ids}
+    flows_p = []
     for c in cand:
         if c == olt:
             continue
-        net = instance.network_of(c)
         xpc = var(f"xpc_{c}")
         row(f"red17_{c}", {xpc: 1.0, **{xoc[o, c]: -f for o in objects
                                         if (o, c) in xoc}}, "=", 0.0)
-        flows_p[net].append(commodity(f"xpf_{c}", f"fc18_{c}_", graph_p[net],
-                                      c, olt, xpc))
-    aggregate("ag19", lp, flows_p, graph_p)
+        flows_p.append(commodity(f"xpf_{c}", f"fc18_{c}_",
+                                 graph_p[instance.network_of(c)], c, olt, xpc))
+    blocks.append(Aggregate("ag19", lp, flows_p))
 
     # (20)-(24): placement linking, cloudlet opening, workload bookkeeping.
     for c in cand:
@@ -245,31 +357,66 @@ def build_model(instance: NetworkInstance, params: ModelParams) -> MilpModel:
         if params.capacity_enforced:
             row(f"cap_{c}", {f"TW_{c}": 1.0}, "<=", 1.0)
 
-    return MilpModel(variables=variables, objective=objective, rows=rows)
+    return MilpModel(kinds=kinds, objective=objective, blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
 # LP / MPS emission
 # ---------------------------------------------------------------------------
+#
+# Every name of a commodity starts with its prefix, so the text of its
+# rows and columns is made once per ``FlowGraph`` with placeholders for
+# the two prefixes and stamped per commodity.  Three facts of the naming
+# keep that text in the order the flat emission had:
+# - a commodity's variables all start with ``prefix + "_"``, which no other
+#   variable does, so in name order they are one run, sorted by link suffix,
+#   at the place of that key;
+# - its rate variable (``xoc_``/``xpc_``) sorts before its link variables
+#   (``xuf_``/``xpf_``), so the rate term leads a conservation row;
+# - a link's total (``lu_``/``lp_``) sorts before the commodity variables
+#   summed into it.
+
+_VAR, _ROW = "\0", "\1"  # placeholders for a commodity's two prefixes
+
+
+def _stamp(text: str, com: Commodity) -> str:
+    return text.replace(_VAR, com.prefix).replace(_ROW, com.row_prefix)
+
+
+def _by_suffix(graph: FlowGraph) -> list[int]:
+    """Positions of ``graph``'s links, in suffix order."""
+    return sorted(range(len(graph.links)), key=graph.links.__getitem__)
+
+
+def _columns(model: MilpModel) -> list[str | Commodity]:
+    """The variables in name order: each variable outside the commodities
+    as its name, each commodity as one entry for its run."""
+    at: dict[str, Commodity | None] = dict.fromkeys(model.kinds)
+    at.update((_key(com), com) for com in model.commodities())
+    return [at[key] or key for key in sorted(at)]
+
+
+def _binaries(model: MilpModel) -> list[str]:
+    return sorted(v for v, kind in model.kinds.items() if kind == "binary")
+
 
 class _Text(dict):
-    """``make(x)`` of each distinct number ``x``, made once; zeros each
-    time, as 0.0 and -0.0 are one key but print differently."""
+    """``make(x)`` of each distinct ``x`` (a number or a flow graph), made
+    once; zeros each time, as 0.0 and -0.0 are one key but print
+    differently."""
 
     def __init__(self, make):
         super().__init__()
         self.make = make
 
-    def __missing__(self, x: float) -> str:
+    def __missing__(self, x):
         return self.setdefault(x, self.make(x)) if x else self.make(x)
 
 
 def _write(path: Path, pieces) -> Path:
-    """Write newline-terminated text through one handle, in chunks."""
-    pieces = iter(pieces)
+    """Write newline-terminated text through one handle."""
     with open(path, "w") as fh:
-        while chunk := list(islice(pieces, 8192)):
-            fh.write("".join(chunk))
+        fh.writelines(pieces)
     return path
 
 
@@ -284,27 +431,75 @@ def _exact(x: float) -> str:
 def emit_lp(model: MilpModel, path: str | Path) -> Path:
     """Write the model in CPLEX LP format (one constraint per line) and a
     companion ``<path>.names`` variable map."""
-    names = sorted(model.variables)
-    path = _write(Path(path), _lp_lines(model, names))
-    _write(path.with_suffix(path.suffix + ".names"),
-           (f"{v}\t{model.variables[v].kind}\n" for v in names))
+    path = _write(Path(path), _lp_lines(model))
+    _write(path.with_suffix(path.suffix + ".names"), _names_lines(model))
     return path
 
 
-def _lp_lines(model: MilpModel, names: list[str]):
+def _names_lines(model: MilpModel):
+    names = _Text(lambda g: "".join(f"{_VAR}{g.links[i]}\tcontinuous\n"
+                                        for i in _by_suffix(g)))
+    for col in _columns(model):
+        if isinstance(col, str):
+            yield f"{col}\t{model.kinds[col]}\n"
+        else:
+            yield names[col.graph].replace(_VAR, col.prefix)
+
+
+def _lp_lines(model: MilpModel):
     number = _Text(_exact)
     term = _Text(lambda c: f"{'-' if c < 0 else '+'} {_exact(abs(c))} ")
+    end = f" = {number[0.0]}\n"
+
+    def conservation(graph: FlowGraph):
+        """Per node: its row, and the row's head and body around a rate
+        term, which precedes the body."""
+        rows, heads, bodies = [], [], []
+        for x, outs, ins in graph.nodes:
+            coeffs = dict.fromkeys(outs, 1.0)
+            coeffs.update(dict.fromkeys(ins, -1.0))
+            body = " ".join([term[coeffs[i]] + _VAR + graph.links[i] for i
+                             in sorted(coeffs, key=graph.links.__getitem__)])
+            heads.append(f" {_ROW}{x}: ")
+            bodies.append(" " + body if body else "")
+            rows.append(heads[-1] + (body.lstrip("+ ") or "0 nothing") + end)
+        at = {x: i for i, (x, _, _) in enumerate(graph.nodes)}
+        return rows, heads, bodies, at
+
+    text = _Text(conservation)
     terms = [f"{number[c]} {n}" for n, c in sorted(model.objective.items()) if c]
     yield ("\\ placement model\nMinimize\n obj: " + " + ".join(terms)
            + "\nSubject To\n")
-    for row in model.rows:
-        body = " ".join([term[coef] + name for name, coef
-                         in sorted(row.coeffs.items()) if coef != 0.0])
-        yield (f" {row.name}: {body.lstrip('+ ') or '0 nothing'} "
-               f"{row.sense} {number[row.rhs]}\n")
+    for part in model.blocks:
+        if isinstance(part, Row):
+            body = " ".join([term[coef] + name for name, coef
+                             in sorted(part.coeffs.items()) if coef != 0.0])
+            yield (f" {part.name}: {body.lstrip('+ ') or '0 nothing'} "
+                   f"{part.sense} {number[part.rhs]}\n")
+        elif isinstance(part, Commodity):
+            rows, heads, bodies, at = text[part.graph]
+            rows = list(rows)
+            for x, coef in ((part.sink, 1.0), (part.source, -1.0)):
+                if x in at:
+                    i = at[x]
+                    rows[i] = (heads[i] + (term[coef] + part.rate + bodies[i])
+                               .lstrip("+ ") + end)
+            yield _stamp("".join(rows), part)
+        else:
+            yield from _lp_aggregate(part, term, end)
     yield "Bounds\nBinary\n"  # defaults: continuous >= 0, binaries listed
-    yield from (f" {v}\n" for v in names if model.variables[v].kind == "binary")
+    yield from (f" {v}\n" for v in _binaries(model))
     yield "End\n"
+
+
+def _lp_aggregate(part: Aggregate, term: _Text, end: str):
+    along = part.along()
+    head, minus = term[1.0], " " + term[-1.0]
+    for s, total in part.totals.items():
+        body = (head + total).lstrip("+ ")
+        if along[s]:
+            body += minus + (s + minus).join(along[s]) + s
+        yield f" {part.family}{s}: {body}{end}"
 
 
 def emit_mps(model: MilpModel, path: str | Path) -> Path:
@@ -317,33 +512,79 @@ def _mps_lines(model: MilpModel):
     sense_mps = {"=": "E", "<=": "L", ">=": "G"}
     marker = "    MARKER                 'MARKER'                 '{}'\n"
     yield "NAME placement\nROWS\n N  obj\n"
-    yield from (f" {sense_mps[row.sense]}  {row.name}\n" for row in model.rows)
+    rows = _Text(lambda g: "".join([f" E  {_ROW}{x}\n"
+                                    for x, _, _ in g.nodes]))
+    for part in model.blocks:
+        if isinstance(part, Row):
+            yield f" {sense_mps[part.sense]}  {part.name}\n"
+        elif isinstance(part, Commodity):
+            yield rows[part.graph].replace(_ROW, part.row_prefix)
+        else:
+            yield "".join([f" E  {part.family}{s}\n" for s in part.totals])
     yield "COLUMNS\n"
     # Each column's "  row  coef" entries; one text per row and coefficient.
-    entries: dict[str, list[str]] = {v: [] for v in model.variables}
+    # Of a commodity only its rate variable's entries are collected: its
+    # link columns are stamped whole below.
+    entries: dict[str, list[str]] = {v: [] for v in model.kinds}
+    family = {}  # id(commodity) -> the aggregate family that sums it
+    nodes = _Text(lambda g: {x for x, _, _ in g.nodes})
     for name, coef in model.objective.items():
         entries[name].append("  obj  " + number[coef])
-    for row in model.rows:
-        text = {c: f"  {row.name}  {number[c]}" for c in set(row.coeffs.values())}
-        for name, coef in row.coeffs.items():
-            if coef:
-                entries[name].append(text[coef])
-    names = sorted(model.variables)
+    for part in model.blocks:
+        if isinstance(part, Row):
+            text = {c: f"  {part.name}  {number[c]}"
+                    for c in set(part.coeffs.values())}
+            for name, coef in part.coeffs.items():
+                if coef:
+                    entries[name].append(text[coef])
+        elif isinstance(part, Commodity):
+            ends = {part.sink: 1.0, part.source: -1.0}
+            entries[part.rate] += [
+                f"  {part.row_prefix}{x}  {number[ends[x]]}"
+                for x in sorted(ends.keys() & nodes[part.graph])]
+        else:
+            for s, total in part.totals.items():
+                entries[total].append(f"  {part.family}{s}  {number[1.0]}")
+            family.update((id(com), part.family) for com in part.commodities)
+
+    def links(key: tuple[FlowGraph, str]) -> str:
+        """Each link column's entries: the conservation rows at its ends,
+        in node order, then its row of the aggregate family."""
+        graph, fam = key
+        ends: dict[int, list[tuple[int, float]]] = {}
+        for x, outs, ins in graph.nodes:
+            for i in outs:
+                ends.setdefault(i, []).append((x, 1.0))
+            for i in ins:
+                ends.setdefault(i, []).append((x, -1.0))
+        lines = []
+        for i in _by_suffix(graph):
+            col = "    " + _VAR + graph.links[i]
+            lines += [f"{col}  {_ROW}{x}  {number[c]}\n" for x, c in ends[i]]
+            lines.append(f"{col}  {fam}{graph.links[i]}  {number[-1.0]}\n")
+        return "".join(lines)
+
+    columns = _Text(links)
     in_int = False
-    for v in names:
-        if (model.variables[v].kind == "binary") != in_int:
-            in_int = not in_int
-            yield marker.format("INTORG" if in_int else "INTEND")
-        if entries[v]:
-            yield "    " + v + ("\n    " + v).join(entries[v]) + "\n"
+    for col in _columns(model):
+        if isinstance(col, str):
+            if (model.kinds[col] == "binary") != in_int:
+                in_int = not in_int
+                yield marker.format("INTORG" if in_int else "INTEND")
+            if entries[col]:
+                yield "    " + col + ("\n    " + col).join(entries[col]) + "\n"
+            continue
+        if in_int:
+            in_int = False
+            yield marker.format("INTEND")
+        yield _stamp(columns[col.graph, family[id(col)]], col)
     if in_int:
         yield marker.format("INTEND")
     yield "RHS\n"
-    yield from (f"    RHS  {row.name}  {number[row.rhs]}\n"
-                for row in model.rows if row.rhs)
+    yield from (f"    RHS  {part.name}  {number[part.rhs]}\n"
+                for part in model.blocks if isinstance(part, Row) and part.rhs)
     yield "BOUNDS\n"
-    yield from (f" BV BND  {v}\n" for v in names
-                if model.variables[v].kind == "binary")
+    yield from (f" BV BND  {v}\n" for v in _binaries(model))
     yield "ENDATA\n"
 
 

@@ -236,12 +236,30 @@ def test_sweep_rejects_config(tmp_path, capsys):
     (["--scenarios", "1,1"], "scenarios lists 1 more than once"),
     (["--engine", "eepiv", "--engine", "eepiv"],
      "engines lists 'eepiv' more than once"),
-    (["--seeds", "7,8,7"], "seeds lists 7 more than once")],
+    (["--seeds", "7,8,7"], "seeds lists 7 more than once"),
+    (["--scenarios", "1,x"], "--scenarios '1,x': 'x' is not an integer"),
+    (["--reductions", "0.1,,0.3"],
+     "--reductions '0.1,,0.3': '' is not a number"),
+    (["--seeds", "1..3..5"], "--seeds '1..3..5': a range is 'first..last'"),
+    (["--seeds", "1..y"], "--seeds '1..y': 'y' is not an integer")],
     ids=["lp-export", "scenario", "reduction", "jobs", "repeated-scenario",
-         "repeated-engine", "repeated-seed"])
+         "repeated-engine", "repeated-seed", "scenario-not-integer",
+         "reduction-not-number", "seed-range-of-three", "seed-not-integer"])
 def test_sweep_refusals_leave_no_directory(tmp_path, capsys, flags, named):
     code, _, err = run(capsys, "sweep", "--scale", "reduced", *flags,
                        "--out", str(tmp_path / "nd"))
     assert code == 1
     assert named in err
+    assert not (tmp_path / "nd").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--scale", "reduced", "--solution"], ["heuristic", "--config"]],
+    ids=["validate-solution", "heuristic-config"])
+def test_missing_input_file_exits_1(tmp_path, capsys, argv):
+    missing = tmp_path / "missing.txt"
+    code, _, err = run(capsys, *argv, str(missing),
+                       "--out", str(tmp_path / "nd"))
+    assert code == 1
+    assert err == f"error: {missing}: No such file or directory\n"
     assert not (tmp_path / "nd").exists()

@@ -338,8 +338,8 @@ class TestExportSemantics:
                                  r.rhs] for r in model.rows}
         assert entries == {(r.name, v): c for r in model.rows
                            for v, c in r.coeffs.items() if c}
-        assert binaries == {v for v, var in model.variables.items()
-                            if var.kind == "binary"}
+        assert binaries == {v for v, kind in model.variables.items()
+                            if kind == "binary"}
 
     def test_mps_optimum_is_the_exact_total(self, case, tmp_path):
         inst, params = case
