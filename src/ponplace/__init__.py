@@ -7,10 +7,9 @@ from .experiments import (SweepError, SweepResult, SweepSpec, run_sweep,
 from .milp import (InfeasibleError, ResourceBudgetError,
                    build_model, emit_lp, emit_mps, solve_exact,
                    validate_solution)
-from .power import (CapacityError, EnergyParams, ModelError, ModelParams,
-                    PowerReport, ProcessingParams, WorkloadTable,
-                    link_cost_per_bit, processing_power, total_objective,
-                    traffic_power)
+from .power import (EnergyParams, ModelError, ModelParams, PowerReport,
+                    ProcessingParams, WorkloadTable, link_cost_per_bit,
+                    processing_power, total_objective, traffic_power)
 from .solution import FlowAssignment, PlacementSolution
 from .topology import (ConfigError, LayerKind, Link, Medium, NetworkInstance,
                        Node, RelayLayout, RequestAssignment, TopologyConfig,
@@ -23,7 +22,7 @@ __all__ = [
     "TopologyConfig", "NetworkInstance", "Node", "Link", "LayerKind",
     "Medium", "RequestAssignment", "RelayLayout", "ConfigError",
     "EnergyParams", "ProcessingParams", "WorkloadTable", "ModelParams",
-    "PowerReport", "ModelError", "CapacityError",
+    "PowerReport", "ModelError",
     "link_cost_per_bit", "traffic_power", "processing_power",
     "total_objective",
     "PlacementSolution", "FlowAssignment",

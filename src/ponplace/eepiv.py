@@ -50,9 +50,8 @@ def run_eepiv(instance: NetworkInstance,
     """
     require_known_vm_types(instance, params)
     vm_types = params.workloads.vm_types
-    networks = sorted({n.network_id for n in instance.nodes
-                       if n.network_id != OLT_NETWORK_ID})
-    demanded = {(net, v): False for net in networks for v in range(vm_types)}
+    demanded = {(net, v): False for net in instance.networks
+                for v in range(vm_types)}
     for o in instance.objects():
         demanded[(instance.network_of(o), instance.vm_request[o])] = True
 
@@ -62,7 +61,7 @@ def run_eepiv(instance: NetworkInstance,
     for c in _candidate_order(instance):
         c_net = instance.network_of(c)
         c_layer = instance.layer(c)
-        nets = networks if c_net == OLT_NETWORK_ID else [c_net]
+        nets = instance.networks if c_net == OLT_NETWORK_ID else [c_net]
         for v in range(vm_types):
             wanting = [net for net in nets
                        if demanded[(net, v)] and (net, v) not in host]

@@ -34,8 +34,7 @@ from .power import (ModelParams, PowerReport, link_cost_per_bit,
                     total_objective)
 from .routing import cheapest_path, cheapest_paths
 from .solution import FlowAssignment, PlacementSolution, build_flows
-from .topology import (LayerKind, NetworkInstance, OLT_NETWORK_ID,
-                       candidate_nodes)
+from .topology import LayerKind, NetworkInstance, candidate_nodes
 
 #: Big-M constants used in the emitted model (not by the native engines).
 BETA_BPS = 1e7
@@ -290,14 +289,13 @@ def build_model(instance: NetworkInstance, params: ModelParams) -> MilpModel:
     # Node orders and link sets, each shared by every commodity on it: per
     # object its network without the other objects, per network its
     # candidates.
-    net_ids = sorted({n.network_id for n in instance.nodes
-                      if n.network_id != OLT_NETWORK_ID})
-    net_nodes = {net: set(instance.network_node_ids(net)) for net in net_ids}
-    core = {net: net_nodes[net].difference(objects) for net in net_ids}
+    net_nodes = {net: set(instance.network_node_ids(net))
+                 for net in instance.networks}
+    core = {net: nodes.difference(objects) for net, nodes in net_nodes.items()}
     graph_o = {o: flow_graph(core[instance.network_of(o)] | {o})
                for o in objects}
     graph_p = {net: flow_graph((net_nodes[net] & cn) | {olt})
-               for net in net_ids}
+               for net in instance.networks}
 
     # Aggregate per-link traffic variables carry the whole traffic objective.
     lu, lp = {}, {}  # "_src_dst" -> the link's aggregate variables
@@ -648,16 +646,19 @@ def write_solution_values(path: str | Path, solution: PlacementSolution,
     return path
 
 
-#: Variable families of the model and what each index names: a node (n)
-#: or a VM type (v).  ``xuf_o_c_x_y`` names four nodes.
-VARIABLE_INDICES = {"Iv": "nv", "H": "n", "TW": "n", "xoc": "nn",
-                    "xovc": "nvn", "xuf": "nnnn", "xpc": "n", "xpf": "nnn",
+#: Variable families of the model and what each index names: an object
+#: (o), a candidate (c), any node (n) or a VM type (v).  ``xuf_o_c_x_y`` is
+#: object o's traffic to candidate c on the link x -> y.
+VARIABLE_INDICES = {"Iv": "cv", "H": "c", "TW": "c", "xoc": "oc",
+                    "xovc": "ovc", "xuf": "ocnn", "xpc": "c", "xpf": "cnn",
                     "lu": "nn", "lp": "nn"}
 #: Families whose last two indices are the ends of a link.
 LINK_FAMILIES = ("xuf", "xpf", "lu", "lp")
 
 #: Imported values may carry solver round-off down to this much below 0.
 NEGATIVE_TOL = 1e-9
+#: Flows, shares and workloads at or below this count as absent.
+FLOW_TOL_BPS = 1e-6
 
 
 def _variable_problem(name: str, value: float) -> str | None:
@@ -677,9 +678,15 @@ def _index_problem(name: str, instance: NetworkInstance,
     model, or None."""
     tag, *indices = name.split("_")
     ids = [int(i) for i in indices]
-    sizes = {"n": len(instance.nodes), "v": vm_types}
-    if any(i >= sizes[k] for k, i in zip(VARIABLE_INDICES[tag], ids)):
-        return f"variable {name!r} names a node or VM type the instance lacks"
+    for kind, i in zip(VARIABLE_INDICES[tag], ids):
+        if i >= (vm_types if kind == "v" else len(instance.nodes)):
+            return (f"variable {name!r} names a node or VM type the "
+                    f"instance lacks")
+        is_object = kind != "v" and instance.layer(i) is LayerKind.OBJECT
+        if kind == "o" and not is_object or kind == "c" and is_object:
+            role = "an object" if kind == "o" else "a candidate"
+            return (f"variable {name!r} names {instance.layer(i).value} "
+                    f"node {i} as {role}")
     if tag in LINK_FAMILIES and tuple(ids[-2:]) not in instance.link_by_pair:
         return f"variable {name!r} names a link the instance lacks"
     return None
@@ -717,8 +724,8 @@ def load_solution_values(path: str | Path) -> dict[str, float]:
 
 
 def solution_from_values(values: dict[str, float], instance: NetworkInstance,
-                         params: ModelParams,
-                         tol: float = 1e-6) -> tuple[PlacementSolution, FlowAssignment]:
+                         params: ModelParams
+                         ) -> tuple[PlacementSolution, FlowAssignment]:
     """Rebuild a placement and flow assignment from imported variable
     values (native export or an external solver's answer).  Values of the
     aggregate families (``xovc``, ``lu``, ``lp``) are accepted and
@@ -739,30 +746,26 @@ def solution_from_values(values: dict[str, float], instance: NetworkInstance,
             placed.add((int(parts[1]), int(parts[2])))
         elif tag == "TW":
             workload[int(parts[1])] = value
-        elif tag == "xoc" and value > tol:
+        elif tag == "xoc" and value > FLOW_TOL_BPS:
             assignment.setdefault(int(parts[1]), []).append((int(parts[2]), value))
-        elif tag == "xuf" and value > tol:
+        elif tag == "xuf" and value > FLOW_TOL_BPS:
             o, c, x, y = map(int, parts[1:])
             flows.upt_commodity.setdefault((o, c), {})[(x, y)] = value
-        elif tag == "xpc" and value > tol:
+        elif tag == "xpc" and value > FLOW_TOL_BPS:
             flows.pt_cl[int(parts[1])] = value
-        elif tag == "xpf" and value > tol:
+        elif tag == "xpf" and value > FLOW_TOL_BPS:
             c, x, y = map(int, parts[1:])
             flows.pt_commodity.setdefault(c, {})[(x, y)] = value
-    workload = {c: tw for c, tw in workload.items() if tw > tol or
+    workload = {c: tw for c, tw in workload.items() if tw > FLOW_TOL_BPS or
                 any(pc == c for pc, _ in placed)}
-    layers = {c: instance.layer(c) for c, _ in placed}
     solution = PlacementSolution(placed=frozenset(placed), workload=workload,
-                                 assignment=assignment, layers=layers)
+                                 assignment=assignment)
     return solution, flows
 
 
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
-
-FLOW_TOL_BPS = 1e-6
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -788,13 +791,14 @@ class ValidationReport:
 
 
 def validate_solution(solution: PlacementSolution, flows: FlowAssignment,
-                      instance: NetworkInstance, params: ModelParams,
-                      tol: float = FLOW_TOL_BPS) -> ValidationReport:
+                      instance: NetworkInstance, params: ModelParams
+                      ) -> ValidationReport:
     """Check every constraint family against the given solution and flows
     and recompute the objective independently of the producing engine."""
     bad: list[Violation] = []
 
-    def check(family: str, row: str, residual: float, limit: float = tol):
+    def check(family: str, row: str, residual: float,
+              limit: float = FLOW_TOL_BPS):
         if abs(residual) > limit:
             bad.append(Violation(family, row, residual))
 
@@ -827,10 +831,11 @@ def validate_solution(solution: PlacementSolution, flows: FlowAssignment,
     for (o, c), com in flows.upt_commodity.items():
         conserve("flow_conservation_unprocessed", f"fc15_{o}_{c}_", com, o, c,
                  share_of.get((o, c), 0.0))
-    for (o, c) in share_of:
-        if share_of[(o, c)] > tol and (o, c) not in flows.upt_commodity and o != c:
+    for (o, c), share in share_of.items():
+        if share > FLOW_TOL_BPS and (o, c) not in flows.upt_commodity \
+                and o != c:
             bad.append(Violation("flow_conservation_unprocessed",
-                                 f"fc15_{o}_{c}_missing", share_of[(o, c)]))
+                                 f"fc15_{o}_{c}_missing", share))
 
     # Traffic reduction per cloudlet.
     inflow: dict[int, float] = {}
@@ -854,27 +859,27 @@ def validate_solution(solution: PlacementSolution, flows: FlowAssignment,
         v = instance.vm_request[o]
         traffic_cv[(c, v)] = traffic_cv.get((c, v), 0.0) + share
     for (c, v), t in traffic_cv.items():
-        if t > tol and (c, v) not in solution.placed:
+        if t > FLOW_TOL_BPS and (c, v) not in solution.placed:
             bad.append(Violation("placement_link", f"lo20_{c}_{v}", t))
         if t > BETA_BPS:
             bad.append(Violation("placement_link", f"hi21_{c}_{v}", t - BETA_BPS))
     for (c, v) in solution.placed:
-        if traffic_cv.get((c, v), 0.0) <= tol:
+        if traffic_cv.get((c, v), 0.0) <= FLOW_TOL_BPS:
             bad.append(Violation("placement_link", f"lo20_{c}_{v}", -1.0))
 
-    # Workload bookkeeping and capacity.
-    for c in solution.cloudlet_open():
+    # Workload bookkeeping and capacity, at every candidate with a stated
+    # workload or an open instance.
+    for c in sorted(set(solution.workload) | solution.cloudlet_open()):
+        tw = solution.workload.get(c, 0.0)
         expected = sum(params.workloads.workload(v, instance.layer(c))
                        for cc, v in solution.placed if cc == c)
-        check("workload", f"tw24_{c}", solution.workload.get(c, 0.0) - expected,
-              limit=1e-9)
-        if params.capacity_enforced and solution.workload.get(c, 0.0) > 1.0 + 1e-9:
-            bad.append(Violation("capacity", f"cap_{c}",
-                                 solution.workload[c] - 1.0))
+        check("workload", f"tw24_{c}", tw - expected, limit=1e-9)
+        if params.capacity_enforced and tw > 1.0 + 1e-9:
+            bad.append(Violation("capacity", f"cap_{c}", tw - 1.0))
 
     # Network isolation: non-OLT cloudlets serve only their own network.
     for (o, c), share in share_of.items():
-        if share > tol and c != olt:
+        if share > FLOW_TOL_BPS and c != olt:
             if instance.network_of(c) != instance.network_of(o):
                 bad.append(Violation("isolation", f"iso_{o}_{c}", share))
 

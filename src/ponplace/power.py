@@ -19,10 +19,6 @@ class ModelError(ValueError):
     """Parameter/instance mismatch or undefined energy role."""
 
 
-class CapacityError(ValueError):
-    """A cloudlet's total normalized workload exceeds 1."""
-
-
 @dataclass(frozen=True)
 class EnergyParams:
     """Per-bit energies (J/bit) and the wireless amplifier coefficient."""
@@ -180,34 +176,37 @@ SCALED_LAYERS = (LayerKind.RELAY, LayerKind.COORDINATOR,
                  LayerKind.ONU, LayerKind.OLT)
 
 
-def tx_energy(layer: LayerKind, energy: EnergyParams) -> float:
+def link_energy(link: Link, energy: EnergyParams) -> tuple[float, float]:
+    """Unweighted energies (J/bit) of one bit across ``link``: transmit at
+    the source (amplifier term included on wireless links) and receive at
+    the destination."""
     try:
-        return getattr(energy, _TX_ATTR[layer])
+        tx = getattr(energy, _TX_ATTR[link.src_layer])
     except KeyError:
-        raise ModelError(f"layer {layer} has no transmit role") from None
-
-
-def rx_energy(layer: LayerKind, energy: EnergyParams) -> float:
+        raise ModelError(
+            f"layer {link.src_layer} has no transmit role") from None
+    if link.medium is Medium.WIRELESS:
+        tx += energy.epsilon * link.distance_m ** 2
     try:
-        return getattr(energy, _RX_ATTR[layer])
+        rx = getattr(energy, _RX_ATTR[link.dst_layer])
     except KeyError:
-        raise ModelError(f"layer {layer} has no receive role") from None
+        raise ModelError(
+            f"layer {link.dst_layer} has no receive role") from None
+    return tx, rx
 
 
-def a_weight(layer: LayerKind, energy: EnergyParams) -> float:
-    return energy.scaling_a if layer in SCALED_LAYERS else 1.0
+def a_weight(layer: LayerKind, scaling_a: float) -> float:
+    """The objective's weight on a layer's traffic: A or 1."""
+    return scaling_a if layer in SCALED_LAYERS else 1.0
 
 
 def link_cost_per_bit(link: Link, params: ModelParams) -> float:
     """Objective cost (J/bit) of pushing one bit across ``link``: the
-    A-weighted transmit energy at the source (amplifier term included on
-    wireless links) plus the A-weighted receive energy at the destination."""
-    e = params.energy
-    tx = tx_energy(link.src_layer, e)
-    if link.medium is Medium.WIRELESS:
-        tx += e.epsilon * link.distance_m ** 2
-    rx = rx_energy(link.dst_layer, e)
-    return a_weight(link.src_layer, e) * tx + a_weight(link.dst_layer, e) * rx
+    A-weighted transmit energy at the source plus the A-weighted receive
+    energy at the destination."""
+    a = params.energy.scaling_a
+    tx, rx = link_energy(link, params.energy)
+    return a_weight(link.src_layer, a) * tx + a_weight(link.dst_layer, a) * rx
 
 
 def traffic_power(flows, instance: NetworkInstance,
@@ -218,7 +217,6 @@ def traffic_power(flows, instance: NetworkInstance,
     wireless links) for outgoing bits and its receive energy for incoming
     bits.  Objects only transmit; the OLT only receives.
     """
-    e = params.energy
     power = {k: 0.0 for k in LayerKind}
     upt, pt = flows.link_rates()
     for pair in set(upt) | set(pt):
@@ -226,53 +224,50 @@ def traffic_power(flows, instance: NetworkInstance,
         if link is None:
             raise ModelError(f"flow on non-existent link {pair}")
         rate = upt.get(pair, 0.0) + pt.get(pair, 0.0)
-        tx = tx_energy(link.src_layer, e)
-        if link.medium is Medium.WIRELESS:
-            tx += e.epsilon * link.distance_m ** 2
+        tx, rx = link_energy(link, params.energy)
         power[link.src_layer] += rate * tx
-        power[link.dst_layer] += rate * rx_energy(link.dst_layer, e)
+        power[link.dst_layer] += rate * rx
     return power
 
 
-def processing_power(solution, params: ModelParams) -> dict[LayerKind, float]:
-    """Per-layer processing power: each hosting cloudlet contributes its
-    total normalized workload times the layer's max CPU power."""
+def processing_power(solution, instance: NetworkInstance,
+                     params: ModelParams) -> dict[LayerKind, float]:
+    """Per-layer processing power: each cloudlet contributes its total
+    normalized workload times its layer's max CPU power.  Capacity is the
+    validator's to judge, not this sum's."""
     power = {k: 0.0 for k in LayerKind}
-    for (c, layer), tw in solution.workload_by_node_layer():
-        if params.capacity_enforced and tw > 1.0 + 1e-9:
-            raise CapacityError(f"cloudlet at node {c} has workload {tw:.3f} > 1")
+    for c, tw in sorted(solution.workload.items()):
+        layer = instance.layer(c)
         power[layer] += tw * params.processing.max_power(layer)
     return power
 
 
 @dataclass(frozen=True)
 class PowerReport:
-    """Per-layer processing and traffic power plus the weighted total."""
+    """Per-layer processing and traffic power; the weighted total is
+    derived from them when the report is made."""
 
     processing_w: dict[LayerKind, float]
     traffic_w_raw: dict[LayerKind, float]
     scaling_a: float
-    total_w: float
+    total_w: float = field(init=False)
+
+    def __post_init__(self):
+        total = sum(self.processing_w.values())
+        for watts in self.traffic_w_scaled().values():
+            total += watts
+        object.__setattr__(self, "total_w", total)
 
     def traffic_w_scaled(self) -> dict[LayerKind, float]:
-        return {k: v * (self.scaling_a if k in SCALED_LAYERS else 1.0)
+        return {k: v * a_weight(k, self.scaling_a)
                 for k, v in self.traffic_w_raw.items()}
-
-    def recomputed_total(self) -> float:
-        return (sum(self.processing_w.values())
-                + sum(self.traffic_w_scaled().values()))
 
 
 def total_objective(solution, flows, instance: NetworkInstance,
                     params: ModelParams) -> PowerReport:
-    """Combine processing and traffic power into the minimized total:
-    all processing, plus object and gateway traffic raw, plus A times the
-    relay/coordinator/ONU/OLT traffic."""
-    proc = processing_power(solution, params)
-    traffic = traffic_power(flows, instance, params)
-    a = params.energy.scaling_a
-    total = sum(proc.values())
-    for layer, watts in traffic.items():
-        total += watts * (a if layer in SCALED_LAYERS else 1.0)
-    return PowerReport(processing_w=proc, traffic_w_raw=traffic,
-                       scaling_a=a, total_w=total)
+    """The minimized total: all processing, plus object and gateway
+    traffic raw, plus A times the relay/coordinator/ONU/OLT traffic."""
+    return PowerReport(
+        processing_w=processing_power(solution, instance, params),
+        traffic_w_raw=traffic_power(flows, instance, params),
+        scaling_a=params.energy.scaling_a)

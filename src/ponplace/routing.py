@@ -23,7 +23,7 @@ from itertools import groupby
 import numpy as np
 
 from .power import EnergyParams, ModelParams, link_cost_per_bit
-from .topology import LayerKind, NetworkInstance, OLT_NETWORK_ID
+from .topology import LayerKind, NetworkInstance
 
 #: Largest (sources x targets x targets) temporary one label computation
 #: allocates; source rows are labelled in blocks that stay below it.
@@ -145,10 +145,8 @@ class RouteTable:
     def __init__(self, instance: NetworkInstance, params: ModelParams):
         cost_of = {(ln.src, ln.dst): link_cost_per_bit(ln, params)
                    for ln in instance.links}
-        networks = sorted({n.network_id for n in instance.nodes}
-                          - {OLT_NETWORK_ID})
         self._network: dict[int, _Network] = {}
-        for net in networks:
+        for net in instance.networks:
             table = _Network(instance, instance.network_node_ids(net), cost_of)
             for n in table.sources.tolist():
                 self._network.setdefault(n, table)

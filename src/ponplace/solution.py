@@ -11,8 +11,9 @@ from .topology import LayerKind, NetworkInstance
 
 @dataclass(frozen=True)
 class PlacementSolution:
-    """Which VM types sit at which candidate nodes, plus the resulting
-    cloudlet workloads and per-object traffic shares."""
+    """What an engine or a solution file decides: which VM types sit at
+    which candidate nodes, the resulting cloudlet workloads and the
+    per-object traffic shares.  Node layers are read from the instance."""
 
     #: (candidate node id, vm type) pairs with a placed instance.
     placed: frozenset[tuple[int, int]]
@@ -20,8 +21,6 @@ class PlacementSolution:
     workload: dict[int, float]
     #: object id -> [(serving candidate, share in bps)], summing to demand.
     assignment: dict[int, list[tuple[int, float]]]
-    #: candidate node id -> hosting layer (for power accounting).
-    layers: dict[int, LayerKind]
 
     @classmethod
     def from_assignment(cls, instance: NetworkInstance, params: ModelParams,
@@ -30,27 +29,17 @@ class PlacementSolution:
         the placed set and workloads follow from the objects' VM requests."""
         placed = frozenset((c, instance.vm_request[o]) for o, c in served.items())
         workload: dict[int, float] = {}
-        layers: dict[int, LayerKind] = {}
         for c, v in placed:
-            layer = instance.layer(c)
-            layers[c] = layer
-            workload[c] = workload.get(c, 0.0) + params.workloads.workload(v, layer)
+            workload[c] = workload.get(c, 0.0) + params.workloads.workload(
+                v, instance.layer(c))
         assignment = {o: [(c, params.demand_bps)] for o, c in served.items()}
-        return cls(placed=placed, workload=workload,
-                   assignment=assignment, layers=layers)
+        return cls(placed=placed, workload=workload, assignment=assignment)
 
     def cloudlet_open(self) -> set[int]:
         return {c for c, _ in self.placed}
 
-    def workload_by_node_layer(self):
-        for c, tw in sorted(self.workload.items()):
-            yield (c, self.layers[c]), tw
-
-    def vm_count(self) -> int:
-        return len(self.placed)
-
-    def placed_layers(self) -> list[LayerKind]:
-        return [self.layers[c] for c, _ in self.placed]
+    def placed_layers(self, instance: NetworkInstance) -> list[LayerKind]:
+        return [instance.layer(c) for c, _ in self.placed]
 
 
 @dataclass

@@ -118,6 +118,9 @@ class NetworkInstance:
         self.links = tuple(links)
         self.vm_request = dict(vm_request)
         self.link_by_pair = {(ln.src, ln.dst): ln for ln in links}
+        #: IoT network ids, ascending; the OLT belongs to none of them.
+        self.networks = tuple(sorted({n.network_id for n in nodes}
+                                     - {OLT_NETWORK_ID}))
         self.out_links: dict[int, list[Link]] = {n.id: [] for n in nodes}
         self.in_links: dict[int, list[Link]] = {n.id: [] for n in nodes}
         for ln in links:

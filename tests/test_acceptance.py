@@ -83,12 +83,13 @@ def reduced_exact_cells(reduced_instance):
     return cells
 
 
-def test_criterion_3a_high_reduction_pushes_to_relays(reduced_exact_cells):
+def test_criterion_3a_high_reduction_pushes_to_relays(reduced_instance,
+                                                      reduced_exact_cells):
     bad = []
     for (scenario, r), (sol, _) in reduced_exact_cells.items():
         if r < 0.5:
             continue
-        layers = set(sol.placed_layers())
+        layers = set(sol.placed_layers(reduced_instance))
         if layers != {LayerKind.RELAY}:
             bad.append((scenario, r, sorted(k.value for k in layers)))
     report("3a relay-placement-at-high-reduction", not bad,
@@ -96,9 +97,12 @@ def test_criterion_3a_high_reduction_pushes_to_relays(reduced_exact_cells):
            if not bad else f"non-relay hosts in {bad}")
 
 
-def test_criterion_3b_low_reduction_olt_consolidation(reduced_exact_cells):
-    s2_layers = reduced_exact_cells[(2, 0.1)][0].placed_layers()
-    s3_layers = reduced_exact_cells[(3, 0.1)][0].placed_layers()
+def test_criterion_3b_low_reduction_olt_consolidation(reduced_instance,
+                                                      reduced_exact_cells):
+    s2_layers = reduced_exact_cells[(2, 0.1)][0].placed_layers(
+        reduced_instance)
+    s3_layers = reduced_exact_cells[(3, 0.1)][0].placed_layers(
+        reduced_instance)
     s2_olt = sum(1 for k in s2_layers if k is LayerKind.OLT)
     s3_olt = sum(1 for k in s3_layers if k is LayerKind.OLT)
     ok = s2_olt >= 1 and s3_olt == 0

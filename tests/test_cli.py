@@ -83,6 +83,38 @@ def test_validate_flags_corrupted_solution(tmp_path, capsys):
     assert "violations: 0" not in out
 
 
+@pytest.mark.parametrize("line,err,rows", [
+    ("TW_24 1.5", "", {"tw24_24", "cap_24"}),
+    # node 28 is a coordinator that hosts no VM instance
+    ("TW_28 0.3", "", {"tw24_28"}),
+    # node 30 is network 0's ONU, node 29 its gateway
+    ("xoc_30_29 1.0",
+     "error: variable 'xoc_30_29' names onu node 30 as an object\n", None)],
+    ids=["over-capacity", "workload-where-nothing-is-hosted", "onu-as-object"])
+def test_validate_reports_or_refuses_a_bad_file(tmp_path, capsys, line, err,
+                                                rows):
+    """The reduced heuristic's solution file with ``line`` in place of the
+    line of the same variable: each broken row is in ``validation.csv``,
+    or the import refuses the file and no ``validation.csv`` is written."""
+    run(capsys, "heuristic", "--scale", "reduced", "--out", str(tmp_path))
+    sol = tmp_path / "solution.txt"
+    name = line.split()[0]
+    lines = [old for old in sol.read_text().splitlines()
+             if old.split()[0] != name]
+    sol.write_text("\n".join(lines + [line]) + "\n")
+    out = tmp_path / "check"
+    code, _, stderr = run(capsys, "validate", "--scale", "reduced",
+                          "--solution", str(sol), "--out", str(out))
+    assert code == 1
+    assert stderr == err
+    csv = out / "validation.csv"
+    if rows is None:
+        assert not csv.exists()
+    else:
+        assert {row.split(",")[1]
+                for row in csv.read_text().splitlines()[1:]} == rows
+
+
 def test_export_lp_with_mps(tmp_path, capsys):
     code, out, _ = run(capsys, "export-lp", "--scale", "reduced", "--mps",
                        "--out", str(tmp_path))

@@ -17,8 +17,8 @@ def test_full_scale_placement_shape(paper_instance, scenario, cloudlets):
     res = run_eepiv(paper_instance, params)
     assert res.served_count == 100
     assert len(res.solution.cloudlet_open()) == cloudlets
-    assert res.solution.vm_count() == 8  # 2 networks x 4 types
-    assert set(res.solution.placed_layers()) == {LayerKind.RELAY}
+    assert len(res.solution.placed) == 8  # 2 networks x 4 types
+    assert set(res.solution.placed_layers(paper_instance)) == {LayerKind.RELAY}
 
 
 def test_full_scale_flows_validate(paper_instance):

@@ -49,9 +49,9 @@ def test_savings_arithmetic():
                      engines=("eepiv",), seeds=(7,))
     result = SweepResult(spec=spec)
     for sc, total in ((1, 81.0), (2, 100.0), (3, 100.0)):
-        report = PowerReport(processing_w={k: 0.0 for k in LayerKind},
+        report = PowerReport(processing_w={LayerKind.RELAY: total},
                              traffic_w_raw={k: 0.0 for k in LayerKind},
-                             scaling_a=5.0, total_w=total)
+                             scaling_a=5.0)
         result.cells[CellKey(sc, 0.5, "eepiv", 7)] = CellResult(
             report=report, placements=[], served_count=0, wall_time_s=0.0)
     rows = savings_summary(result)
@@ -161,9 +161,9 @@ def test_savings_refuse_partially_served_cells():
                      engines=("eepiv",), seeds=(7,))
     result = SweepResult(spec=spec)
     for sc, total, served in ((1, 70.0, 90), (2, 100.0, 100), (3, 100.0, 100)):
-        report = PowerReport(processing_w={k: 0.0 for k in LayerKind},
+        report = PowerReport(processing_w={LayerKind.RELAY: total},
                              traffic_w_raw={k: 0.0 for k in LayerKind},
-                             scaling_a=5.0, total_w=total)
+                             scaling_a=5.0)
         result.cells[CellKey(sc, 0.5, "eepiv", 7)] = CellResult(
             report=report, placements=[], served_count=served,
             wall_time_s=0.0, object_count=100)

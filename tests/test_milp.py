@@ -389,8 +389,7 @@ class TestValidation:
             placed=frozenset({(foreign, v)}),
             workload={foreign: params.workloads.workload(
                 v, inst.layer(foreign))},
-            assignment={o: [(foreign, params.demand_bps)]},
-            layers={foreign: inst.layer(foreign)})
+            assignment={o: [(foreign, params.demand_bps)]})
         check = validate_solution(sol, pp.FlowAssignment(), inst, params)
         assert any(v.family == "isolation" for v in check.violations)
 
@@ -435,6 +434,24 @@ class TestSolutionRoundTrip:
         path.write_text("# comment\n\nIv_3_0 1\nTW_3 0.1\n")
         values = load_solution_values(path)
         assert values == {"Iv_3_0": 1.0, "TW_3": 0.1}
+
+
+class TestSolutionImportNodeKinds:
+    """Each index must name a node of the kind its family takes: objects
+    for ``o``, candidates (every other node) for ``c``."""
+
+    @pytest.mark.parametrize("name,refusal", [
+        ("xoc_30_29", "onu node 30 as an object"),
+        ("xoc_62_29", "olt node 62 as an object"),
+        ("Iv_0_0", "object node 0 as a candidate"),
+        ("TW_0", "object node 0 as a candidate"),
+        ("xuf_24_0_0_24", "relay node 24 as an object"),
+        ("xpf_0_0_24", "object node 0 as a candidate")])
+    def test_wrong_kind_refused(self, reduced_instance, name, refusal):
+        params = ModelParams.for_scenario(1, 0.5)
+        with pytest.raises(ValueError) as exc:
+            solution_from_values({name: 1.0}, reduced_instance, params)
+        assert str(exc.value) == f"variable {name!r} names {refusal}"
 
 
 class TestSolutionImportRejects:
