@@ -74,12 +74,12 @@ class Row:
 @dataclass(frozen=True, eq=False)
 class FlowGraph:
     """Links among a set of nodes, shared by every commodity routed there:
-    ``links`` holds each link's ``_src_dst`` suffix and ``nodes``, per node
-    in id order, the positions in ``links`` of its outgoing and incoming
-    ones."""
+    ``links`` holds each link's ``_src_dst`` suffix in name order and
+    ``nodes``, per node in id order, its conservation terms (position in
+    ``links``, +1 out / -1 in), also in name order."""
 
     links: list[str]
-    nodes: list[tuple[int, list[int], list[int]]]
+    nodes: dict[int, list[tuple[int, float]]]
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,8 @@ class Commodity:
 
     def rows(self) -> Iterator[Row]:
         names = [self.prefix + s for s in self.graph.links]
-        for x, outs, ins in self.graph.nodes:
-            coeffs = dict.fromkeys([names[i] for i in outs], 1.0)
-            coeffs.update(dict.fromkeys([names[i] for i in ins], -1.0))
+        for x, terms in self.graph.nodes.items():
+            coeffs = {names[i]: c for i, c in terms}
             if x == self.source or x == self.sink:
                 coeffs[self.rate] = -1.0 if x == self.source else 1.0
             yield Row(f"{self.row_prefix}{x}", coeffs, "=", 0.0)
@@ -266,14 +265,21 @@ def build_model(instance: NetworkInstance, params: ModelParams) -> MilpModel:
     def row(name, coeffs, sense, rhs) -> None:
         blocks.append(Row(name, coeffs, sense, rhs))
 
+    # The out and in term of each link position, one tuple each for all
+    # graphs: at the paper scale the graphs hold over 100k terms.
+    shared: list[tuple[tuple[int, float], tuple[int, float]]] = []
+
     def flow_graph(nodes: set[int]) -> FlowGraph:
-        links = [ln for ln in instance.links
-                 if ln.src in nodes and ln.dst in nodes]
-        at = {(ln.src, ln.dst): i for i, ln in enumerate(links)}
-        return FlowGraph([f"_{ln.src}_{ln.dst}" for ln in links], [
-            (x, [at[x, ln.dst] for ln in instance.out_links[x] if ln.dst in nodes],
-             [at[ln.src, x] for ln in instance.in_links[x] if ln.src in nodes])
-            for x in sorted(nodes)])
+        links = sorted((f"_{ln.src}_{ln.dst}", ln.src, ln.dst)
+                       for ln in instance.links
+                       if ln.src in nodes and ln.dst in nodes)
+        shared.extend(((i, 1.0), (i, -1.0))
+                      for i in range(len(shared), len(links)))
+        terms = {x: [] for x in sorted(nodes)}
+        for (_, src, dst), (out, into) in zip(links, shared):
+            terms[src].append(out)
+            terms[dst].append(into)
+        return FlowGraph([s for s, _, _ in links], terms)
 
     def commodity(*fields) -> Commodity:
         blocks.append(Commodity(*fields))
@@ -367,8 +373,8 @@ def build_model(instance: NetworkInstance, params: ModelParams) -> MilpModel:
 # the two prefixes and stamped per commodity.  Three facts of the naming
 # keep that text in the order the flat emission had:
 # - a commodity's variables all start with ``prefix + "_"``, which no other
-#   variable does, so in name order they are one run, sorted by link suffix,
-#   at the place of that key;
+#   variable does, so in name order they are one run, in the link order of
+#   the graph, at the place of that key;
 # - its rate variable (``xoc_``/``xpc_``) sorts before its link variables
 #   (``xuf_``/``xpf_``), so the rate term leads a conservation row;
 # - a link's total (``lu_``/``lp_``) sorts before the commodity variables
@@ -381,16 +387,13 @@ def _stamp(text: str, com: Commodity) -> str:
     return text.replace(_VAR, com.prefix).replace(_ROW, com.row_prefix)
 
 
-def _by_suffix(graph: FlowGraph) -> list[int]:
-    """Positions of ``graph``'s links, in suffix order."""
-    return sorted(range(len(graph.links)), key=graph.links.__getitem__)
-
-
-def _columns(model: MilpModel) -> list[str | Commodity]:
+def _columns(model: MilpModel) -> list[str | tuple[Commodity, str]]:
     """The variables in name order: each variable outside the commodities
-    as its name, each commodity as one entry for its run."""
-    at: dict[str, Commodity | None] = dict.fromkeys(model.kinds)
-    at.update((_key(com), com) for com in model.commodities())
+    as its name, each commodity as one entry for its run, with the family
+    of the aggregate that sums it."""
+    at: dict[str, tuple[Commodity, str] | None] = dict.fromkeys(model.kinds)
+    at.update((_key(com), (com, part.family)) for part in model.blocks
+              if isinstance(part, Aggregate) for com in part.commodities)
     return [at[key] or key for key in sorted(at)]
 
 
@@ -435,13 +438,14 @@ def emit_lp(model: MilpModel, path: str | Path) -> Path:
 
 
 def _names_lines(model: MilpModel):
-    names = _Text(lambda g: "".join(f"{_VAR}{g.links[i]}\tcontinuous\n"
-                                        for i in _by_suffix(g)))
+    names = _Text(lambda g: "".join(f"{_VAR}{s}\tcontinuous\n"
+                                        for s in g.links))
     for col in _columns(model):
         if isinstance(col, str):
             yield f"{col}\t{model.kinds[col]}\n"
         else:
-            yield names[col.graph].replace(_VAR, col.prefix)
+            com, _ = col
+            yield names[com.graph].replace(_VAR, com.prefix)
 
 
 def _lp_lines(model: MilpModel):
@@ -450,19 +454,14 @@ def _lp_lines(model: MilpModel):
     end = f" = {number[0.0]}\n"
 
     def conservation(graph: FlowGraph):
-        """Per node: its row, and the row's head and body around a rate
-        term, which precedes the body."""
-        rows, heads, bodies = [], [], []
-        for x, outs, ins in graph.nodes:
-            coeffs = dict.fromkeys(outs, 1.0)
-            coeffs.update(dict.fromkeys(ins, -1.0))
-            body = " ".join([term[coeffs[i]] + _VAR + graph.links[i] for i
-                             in sorted(coeffs, key=graph.links.__getitem__)])
-            heads.append(f" {_ROW}{x}: ")
-            bodies.append(" " + body if body else "")
-            rows.append(heads[-1] + (body.lstrip("+ ") or "0 nothing") + end)
-        at = {x: i for i, (x, _, _) in enumerate(graph.nodes)}
-        return rows, heads, bodies, at
+        """Per node: its row, and the row's body after a rate term, which
+        precedes the body."""
+        rows, bodies = {}, {}
+        for x, terms in graph.nodes.items():
+            body = " ".join([term[c] + _VAR + graph.links[i] for i, c in terms])
+            bodies[x] = " " + body if body else ""
+            rows[x] = f" {_ROW}{x}: {body.lstrip('+ ') or '0 nothing'}{end}"
+        return rows, bodies
 
     text = _Text(conservation)
     terms = [f"{number[c]} {n}" for n, c in sorted(model.objective.items()) if c]
@@ -475,14 +474,12 @@ def _lp_lines(model: MilpModel):
             yield (f" {part.name}: {body.lstrip('+ ') or '0 nothing'} "
                    f"{part.sense} {number[part.rhs]}\n")
         elif isinstance(part, Commodity):
-            rows, heads, bodies, at = text[part.graph]
-            rows = list(rows)
+            rows, bodies = text[part.graph]
+            rows = dict(rows)
             for x, coef in ((part.sink, 1.0), (part.source, -1.0)):
-                if x in at:
-                    i = at[x]
-                    rows[i] = (heads[i] + (term[coef] + part.rate + bodies[i])
-                               .lstrip("+ ") + end)
-            yield _stamp("".join(rows), part)
+                rows[x] = (f" {_ROW}{x}: " + (term[coef] + part.rate
+                                              + bodies[x]).lstrip("+ ") + end)
+            yield _stamp("".join(rows.values()), part)
         else:
             yield from _lp_aggregate(part, term, end)
     yield "Bounds\nBinary\n"  # defaults: continuous >= 0, binaries listed
@@ -510,8 +507,7 @@ def _mps_lines(model: MilpModel):
     sense_mps = {"=": "E", "<=": "L", ">=": "G"}
     marker = "    MARKER                 'MARKER'                 '{}'\n"
     yield "NAME placement\nROWS\n N  obj\n"
-    rows = _Text(lambda g: "".join([f" E  {_ROW}{x}\n"
-                                    for x, _, _ in g.nodes]))
+    rows = _Text(lambda g: "".join([f" E  {_ROW}{x}\n" for x in g.nodes]))
     for part in model.blocks:
         if isinstance(part, Row):
             yield f" {sense_mps[part.sense]}  {part.name}\n"
@@ -524,8 +520,6 @@ def _mps_lines(model: MilpModel):
     # Of a commodity only its rate variable's entries are collected: its
     # link columns are stamped whole below.
     entries: dict[str, list[str]] = {v: [] for v in model.kinds}
-    family = {}  # id(commodity) -> the aggregate family that sums it
-    nodes = _Text(lambda g: {x for x, _, _ in g.nodes})
     for name, coef in model.objective.items():
         entries[name].append("  obj  " + number[coef])
     for part in model.blocks:
@@ -536,31 +530,24 @@ def _mps_lines(model: MilpModel):
                 if coef:
                     entries[name].append(text[coef])
         elif isinstance(part, Commodity):
-            ends = {part.sink: 1.0, part.source: -1.0}
             entries[part.rate] += [
-                f"  {part.row_prefix}{x}  {number[ends[x]]}"
-                for x in sorted(ends.keys() & nodes[part.graph])]
+                f"  {part.row_prefix}{x}  {number[c]}"
+                for x, c in sorted([(part.sink, 1.0), (part.source, -1.0)])]
         else:
             for s, total in part.totals.items():
                 entries[total].append(f"  {part.family}{s}  {number[1.0]}")
-            family.update((id(com), part.family) for com in part.commodities)
 
     def links(key: tuple[FlowGraph, str]) -> str:
         """Each link column's entries: the conservation rows at its ends,
         in node order, then its row of the aggregate family."""
         graph, fam = key
-        ends: dict[int, list[tuple[int, float]]] = {}
-        for x, outs, ins in graph.nodes:
-            for i in outs:
-                ends.setdefault(i, []).append((x, 1.0))
-            for i in ins:
-                ends.setdefault(i, []).append((x, -1.0))
-        lines = []
-        for i in _by_suffix(graph):
-            col = "    " + _VAR + graph.links[i]
-            lines += [f"{col}  {_ROW}{x}  {number[c]}\n" for x, c in ends[i]]
-            lines.append(f"{col}  {fam}{graph.links[i]}  {number[-1.0]}\n")
-        return "".join(lines)
+        cols = [[] for _ in graph.links]
+        for x, terms in graph.nodes.items():
+            for i, c in terms:
+                cols[i].append(f"{_ROW}{x}  {number[c]}")
+        return "".join([f"    {_VAR}{s}  {entry}\n"
+                        for s, col in zip(graph.links, cols)
+                        for entry in col + [f"{fam}{s}  {number[-1.0]}"]])
 
     columns = _Text(links)
     in_int = False
@@ -575,7 +562,8 @@ def _mps_lines(model: MilpModel):
         if in_int:
             in_int = False
             yield marker.format("INTEND")
-        yield _stamp(columns[col.graph, family[id(col)]], col)
+        com, fam = col
+        yield _stamp(columns[com.graph, fam], com)
     if in_int:
         yield marker.format("INTEND")
     yield "RHS\n"
@@ -659,6 +647,8 @@ LINK_FAMILIES = ("xuf", "xpf", "lu", "lp")
 NEGATIVE_TOL = 1e-9
 #: Flows, shares and workloads at or below this count as absent.
 FLOW_TOL_BPS = 1e-6
+#: A binary's value (``Iv``, ``H``) lies within this of 0 or 1.
+BINARY_TOL = 1e-6
 
 
 def _variable_problem(name: str, value: float) -> str | None:
@@ -669,6 +659,8 @@ def _variable_problem(name: str, value: float) -> str | None:
         return f"unknown variable {name!r}"
     if not math.isfinite(value) or value < -NEGATIVE_TOL:
         return f"{name} has value {value!r}; values must be finite and >= 0"
+    if tag in ("Iv", "H") and min(abs(value), abs(value - 1.0)) > BINARY_TOL:
+        return f"{name} has value {value!r}; a binary must be 0 or 1"
     return None
 
 
@@ -736,6 +728,7 @@ def solution_from_values(values: dict[str, float], instance: NetworkInstance,
         if problem is not None:
             raise ValueError(problem)
     placed = set()
+    stated_open: dict[int, bool] = {}  # candidate -> its H_c, where stated
     workload: dict[int, float] = {}
     assignment: dict[int, list[tuple[int, float]]] = {}
     flows = FlowAssignment()
@@ -744,6 +737,8 @@ def solution_from_values(values: dict[str, float], instance: NetworkInstance,
         tag = parts[0]
         if tag == "Iv" and value > 0.5:
             placed.add((int(parts[1]), int(parts[2])))
+        elif tag == "H":
+            stated_open[int(parts[1])] = value > 0.5
         elif tag == "TW":
             workload[int(parts[1])] = value
         elif tag == "xoc" and value > FLOW_TOL_BPS:
@@ -758,8 +753,10 @@ def solution_from_values(values: dict[str, float], instance: NetworkInstance,
             flows.pt_commodity.setdefault(c, {})[(x, y)] = value
     workload = {c: tw for c, tw in workload.items() if tw > FLOW_TOL_BPS or
                 any(pc == c for pc, _ in placed)}
+    opened = (frozenset(c for c, on in stated_open.items() if on)
+              if stated_open else None)
     solution = PlacementSolution(placed=frozenset(placed), workload=workload,
-                                 assignment=assignment)
+                                 assignment=assignment, opened=opened)
     return solution, flows
 
 
@@ -866,6 +863,17 @@ def validate_solution(solution: PlacementSolution, flows: FlowAssignment,
     for (c, v) in solution.placed:
         if traffic_cv.get((c, v), 0.0) <= FLOW_TOL_BPS:
             bad.append(Violation("placement_link", f"lo20_{c}_{v}", -1.0))
+
+    # Cloudlet opening, where H_c is stated: an open cloudlet hosts an
+    # instance (sum_v Iv - H >= 0) and a hosted instance opens its cloudlet
+    # (sum_v Iv - GAMMA H <= 0); unstated H_c are 0.
+    if solution.opened is not None:
+        hosts = solution.cloudlet_open()
+        for c in sorted(solution.opened - hosts):
+            bad.append(Violation("opening", f"cl22_{c}", -1.0))
+        for c in sorted(hosts - solution.opened):
+            bad.append(Violation("opening", f"cl23_{c}", float(sum(
+                1 for cc, _ in solution.placed if cc == c))))
 
     # Workload bookkeeping and capacity, at every candidate with a stated
     # workload or an open instance.

@@ -21,6 +21,9 @@ class PlacementSolution:
     workload: dict[int, float]
     #: object id -> [(serving candidate, share in bps)], summing to demand.
     assignment: dict[int, list[tuple[int, float]]]
+    #: candidates a solution file states open (``H_c`` 1), or None when it
+    #: states no ``H_c``; an engine decides ``placed`` alone.
+    opened: frozenset[int] | None = None
 
     @classmethod
     def from_assignment(cls, instance: NetworkInstance, params: ModelParams,

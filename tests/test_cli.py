@@ -89,8 +89,16 @@ def test_validate_flags_corrupted_solution(tmp_path, capsys):
     ("TW_28 0.3", "", {"tw24_28"}),
     # node 30 is network 0's ONU, node 29 its gateway
     ("xoc_30_29 1.0",
-     "error: variable 'xoc_30_29' names onu node 30 as an object\n", None)],
-    ids=["over-capacity", "workload-where-nothing-is-hosted", "onu-as-object"])
+     "error: variable 'xoc_30_29' names onu node 30 as an object\n", None),
+    ("Iv_24_0 0.7",
+     "error: {where}: Iv_24_0 has value 0.7; a binary must be 0 or 1\n", None),
+    # node 24 hosts the instances of network 0, node 25 none:
+    # sum_v Iv - GAMMA H <= 0 (cl23) and sum_v Iv - H >= 0 (cl22) break
+    ("H_24 0", "", {"cl23_24"}),
+    ("H_25 1", "", {"cl22_25"})],
+    ids=["over-capacity", "workload-where-nothing-is-hosted", "onu-as-object",
+         "fractional-binary", "hosting-cloudlet-closed",
+         "empty-cloudlet-open"])
 def test_validate_reports_or_refuses_a_bad_file(tmp_path, capsys, line, err,
                                                 rows):
     """The reduced heuristic's solution file with ``line`` in place of the
@@ -106,13 +114,26 @@ def test_validate_reports_or_refuses_a_bad_file(tmp_path, capsys, line, err,
     code, _, stderr = run(capsys, "validate", "--scale", "reduced",
                           "--solution", str(sol), "--out", str(out))
     assert code == 1
-    assert stderr == err
+    assert stderr == err.format(where=f"{sol}:{len(lines) + 1}")
     csv = out / "validation.csv"
     if rows is None:
         assert not csv.exists()
     else:
         assert {row.split(",")[1]
                 for row in csv.read_text().splitlines()[1:]} == rows
+
+
+def test_validate_without_opening_variables(tmp_path, capsys):
+    """A file that states no ``H_c`` is judged by its ``Iv_c_v`` alone."""
+    run(capsys, "heuristic", "--scale", "reduced", "--out", str(tmp_path))
+    sol = tmp_path / "solution.txt"
+    lines = [line for line in sol.read_text().splitlines()
+             if not line.startswith("H_")]
+    sol.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "validate", "--scale", "reduced",
+                       "--solution", str(sol), "--out", str(tmp_path))
+    assert code == 0
+    assert "violations: 0" in out
 
 
 def test_export_lp_with_mps(tmp_path, capsys):
@@ -235,6 +256,41 @@ def test_config_unknown_model_key_exits_1(tmp_path, capsys):
                        "--out", str(tmp_path))
     assert code == 1
     assert str(path) in err and "scenaro" in err
+
+
+@pytest.mark.parametrize("text,named", [
+    ('{"topology": {"networks": "two"}}',
+     'topology.networks is "two"; it must be an integer'),
+    ('{"topology": {"objects_per_network": 2.5}}',
+     "topology.objects_per_network is 2.5; it must be an integer"),
+    ('{"model": {"reduction_pct": "0.5"}}',
+     'model.reduction_pct is "0.5"; it must be a finite number'),
+    ("[1, 2]", "the top level must be an object"),
+    ('{"model": []}', "section 'model' must be an object"),
+    ('{"model": {"capacity_enforced": "false"}}',
+     'model.capacity_enforced is "false"; it must be true or false'),
+    ('{"model": {"demand_bps": -5}}', "model.demand_bps is -5; it must be > 0"),
+    ('{"topology": {"coordinator_xy": [1]}}',
+     "topology.coordinator_xy is [1]; it must be null or a pair of numbers"),
+    ('{"topology": {"networks": 2,}}', ":1: not JSON"),
+    ('{"topology": {"relay_layout": "hex"}}',
+     "topology.relay_layout is \"hex\"; it must be one of ['grid', 'line']"),
+    ('{"model": {"scenario": 4}}', "model: unknown scenario 4"),
+    ('{"topolgy": {}}', "unknown sections ['topolgy']")],
+    ids=["int-as-text", "fractional-int", "number-as-text", "not-an-object",
+         "section-not-an-object", "bool-as-text", "negative-demand",
+         "short-pair", "syntax", "unknown-enum", "unknown-scenario",
+         "unknown-section"])
+def test_bad_config_names_file_and_key(tmp_path, capsys, text, named):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "heuristic", "--config", str(path),
+                         "--out", str(tmp_path / "nd"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {path}") and named in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "nd").exists()
 
 
 @pytest.mark.parametrize("flag,value,plural", [

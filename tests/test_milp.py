@@ -481,6 +481,16 @@ class TestSolutionImportRejects:
         assert "expected 'variable value'" in message or \
             "not a number" in message
 
+    @pytest.mark.parametrize("line", ["Iv_1_0 0.5", "Iv_1_0 0.999",
+                                      "H_1 2", "H_1 1e-5"])
+    def test_binary_not_0_or_1(self, tmp_path, line):
+        assert "a binary must be 0 or 1" in self.load_with(tmp_path, line)
+
+    def test_binary_round_off_accepted(self, tmp_path):
+        path = tmp_path / "sol.txt"
+        path.write_text("Iv_1_0 0.9999999\nH_1 1.0000001\nIv_1_1 1e-7\n")
+        assert load_solution_values(path)["H_1"] == 1.0000001
+
     def test_repeated_variable(self, tmp_path):
         assert "repeats line 2" in self.load_with(tmp_path, "Iv_3_0 1")
 
