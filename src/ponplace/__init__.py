@@ -11,15 +11,15 @@ from .power import (EnergyParams, ModelError, ModelParams, PowerReport,
                     ProcessingParams, WorkloadTable, link_cost_per_bit,
                     processing_power, total_objective, traffic_power)
 from .solution import FlowAssignment, PlacementSolution
-from .topology import (ConfigError, LayerKind, Link, Medium, NetworkInstance,
-                       Node, RelayLayout, RequestAssignment, TopologyConfig,
+from .topology import (ConfigError, LayerKind, Medium, NetworkInstance, Node,
+                       RelayLayout, RequestAssignment, TopologyConfig,
                        build_instance, candidate_nodes, minimal_chain_config)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "build_instance", "candidate_nodes", "minimal_chain_config",
-    "TopologyConfig", "NetworkInstance", "Node", "Link", "LayerKind",
+    "TopologyConfig", "NetworkInstance", "Node", "LayerKind",
     "Medium", "RequestAssignment", "RelayLayout", "ConfigError",
     "EnergyParams", "ProcessingParams", "WorkloadTable", "ModelParams",
     "PowerReport", "ModelError",

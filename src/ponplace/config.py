@@ -78,15 +78,17 @@ def load_config(path: str | Path) -> tuple[TopologyConfig, ModelParams]:
     unknown = set(data) - {"topology", "model"}
     if unknown:
         raise ConfigError(f"{path}: unknown sections {sorted(unknown)}")
-    topology = TopologyConfig(**_section(
-        path, data, "topology", TopologyConfig,
-        {f.name for f in fields(TopologyConfig)}))
+    topology_data = _section(path, data, "topology", TopologyConfig,
+                             {f.name for f in fields(TopologyConfig)})
     model_data = _section(path, data, "model", ModelParams, _MODEL_KEYS)
     if model_data.get("demand_bps", 1.0) <= 0:
         raise ConfigError(f"{path}: model.demand_bps is "
                           f"{model_data['demand_bps']!r}; it must be > 0")
     try:
+        topology = TopologyConfig(**topology_data)
         return topology, model_params(model_data, topology.vm_types)
+    except ConfigError as exc:  # a topology value out of range
+        raise ConfigError(f"{path}: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"{path}: model: {exc}") from None
 

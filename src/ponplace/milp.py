@@ -270,9 +270,9 @@ def build_model(instance: NetworkInstance, params: ModelParams) -> MilpModel:
     shared: list[tuple[tuple[int, float], tuple[int, float]]] = []
 
     def flow_graph(nodes: set[int]) -> FlowGraph:
-        links = sorted((f"_{ln.src}_{ln.dst}", ln.src, ln.dst)
-                       for ln in instance.links
-                       if ln.src in nodes and ln.dst in nodes)
+        links = sorted((f"_{src}_{dst}", src, dst)
+                       for src, dst in instance.links
+                       if src in nodes and dst in nodes)
         shared.extend(((i, 1.0), (i, -1.0))
                       for i in range(len(shared), len(links)))
         terms = {x: [] for x in sorted(nodes)}
@@ -305,11 +305,11 @@ def build_model(instance: NetworkInstance, params: ModelParams) -> MilpModel:
 
     # Aggregate per-link traffic variables carry the whole traffic objective.
     lu, lp = {}, {}  # "_src_dst" -> the link's aggregate variables
-    for ln in instance.links:
-        s = f"_{ln.src}_{ln.dst}"
+    for src, dst in instance.links:
+        s = f"_{src}_{dst}"
         lu[s] = var("lu" + s)
-        objective[lu[s]] = link_cost_per_bit(ln, params)
-        if ln.src in cn and ln.dst in cn:
+        objective[lu[s]] = link_cost_per_bit(instance, (src, dst), params)
+        if src in cn and dst in cn:
             lp[s] = var("lp" + s)
             objective[lp[s]] = objective[lu[s]]
     for c in cand:
@@ -679,7 +679,7 @@ def _index_problem(name: str, instance: NetworkInstance,
             role = "an object" if kind == "o" else "a candidate"
             return (f"variable {name!r} names {instance.layer(i).value} "
                     f"node {i} as {role}")
-    if tag in LINK_FAMILIES and tuple(ids[-2:]) not in instance.link_by_pair:
+    if tag in LINK_FAMILIES and tuple(ids[-2:]) not in instance.links:
         return f"variable {name!r} names a link the instance lacks"
     return None
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .topology import LayerKind, Link, Medium, NetworkInstance
+from .topology import ConfigError, LayerKind, Medium, NetworkInstance
 
 
 class ModelError(ValueError):
@@ -87,7 +87,8 @@ class WorkloadTable:
     def heterogeneous(cls, vm_types: int = 4) -> "WorkloadTable":
         """Type t takes t/10 of a relay CPU, scaled down the layers."""
         if vm_types > 4:
-            raise ModelError("default workload table defines 4 VM types")
+            raise ConfigError(f"topology.vm_types is {vm_types}; scenario "
+                              f"1's workload table defines 4 VM types")
         w = {(v, layer): (v + 1) * frac
              for v in range(vm_types)
              for layer, frac in _BASE_WORKLOAD_ROW.items()}
@@ -176,22 +177,25 @@ SCALED_LAYERS = (LayerKind.RELAY, LayerKind.COORDINATOR,
                  LayerKind.ONU, LayerKind.OLT)
 
 
-def link_energy(link: Link, energy: EnergyParams) -> tuple[float, float]:
-    """Unweighted energies (J/bit) of one bit across ``link``: transmit at
-    the source (amplifier term included on wireless links) and receive at
-    the destination."""
+def link_energy(instance: NetworkInstance, link: tuple[int, int],
+                energy: EnergyParams) -> tuple[float, float]:
+    """Unweighted energies (J/bit) of one bit across ``link``, a ``(src,
+    dst)`` pair of ``instance.links``: transmit at the source (amplifier
+    term included on wireless links) and receive at the destination."""
+    medium, distance_m = instance.links[link]
+    src, dst = link
     try:
-        tx = getattr(energy, _TX_ATTR[link.src_layer])
+        tx = getattr(energy, _TX_ATTR[instance.layer(src)])
     except KeyError:
         raise ModelError(
-            f"layer {link.src_layer} has no transmit role") from None
-    if link.medium is Medium.WIRELESS:
-        tx += energy.epsilon * link.distance_m ** 2
+            f"layer {instance.layer(src)} has no transmit role") from None
+    if medium is Medium.WIRELESS:
+        tx += energy.epsilon * distance_m ** 2
     try:
-        rx = getattr(energy, _RX_ATTR[link.dst_layer])
+        rx = getattr(energy, _RX_ATTR[instance.layer(dst)])
     except KeyError:
         raise ModelError(
-            f"layer {link.dst_layer} has no receive role") from None
+            f"layer {instance.layer(dst)} has no receive role") from None
     return tx, rx
 
 
@@ -200,13 +204,15 @@ def a_weight(layer: LayerKind, scaling_a: float) -> float:
     return scaling_a if layer in SCALED_LAYERS else 1.0
 
 
-def link_cost_per_bit(link: Link, params: ModelParams) -> float:
+def link_cost_per_bit(instance: NetworkInstance, link: tuple[int, int],
+                      params: ModelParams) -> float:
     """Objective cost (J/bit) of pushing one bit across ``link``: the
     A-weighted transmit energy at the source plus the A-weighted receive
     energy at the destination."""
     a = params.energy.scaling_a
-    tx, rx = link_energy(link, params.energy)
-    return a_weight(link.src_layer, a) * tx + a_weight(link.dst_layer, a) * rx
+    tx, rx = link_energy(instance, link, params.energy)
+    return (a_weight(instance.layer(link[0]), a) * tx
+            + a_weight(instance.layer(link[1]), a) * rx)
 
 
 def traffic_power(flows, instance: NetworkInstance,
@@ -220,13 +226,13 @@ def traffic_power(flows, instance: NetworkInstance,
     power = {k: 0.0 for k in LayerKind}
     upt, pt = flows.link_rates()
     for pair in set(upt) | set(pt):
-        link = instance.link_by_pair.get(pair)
-        if link is None:
-            raise ModelError(f"flow on non-existent link {pair}")
+        try:
+            tx, rx = link_energy(instance, pair, params.energy)
+        except KeyError:
+            raise ModelError(f"flow on non-existent link {pair}") from None
         rate = upt.get(pair, 0.0) + pt.get(pair, 0.0)
-        tx, rx = link_energy(link, params.energy)
-        power[link.src_layer] += rate * tx
-        power[link.dst_layer] += rate * rx
+        power[instance.layer(pair[0])] += rate * tx
+        power[instance.layer(pair[1])] += rate * rx
     return power
 
 

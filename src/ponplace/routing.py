@@ -78,12 +78,9 @@ class _Network:
                                  if instance.layer(n) is not LayerKind.OBJECT])
         self.row = {n: i for i, n in enumerate(nodes)}
         self.col = {n: j for j, n in enumerate(self.targets.tolist())}
-        rows, cols, costs = [], [], []
-        for n in nodes:
-            for ln in instance.out_links[n]:
-                rows.append(self.row[n])
-                cols.append(self.col[ln.dst])
-                costs.append(cost_of[(n, ln.dst)])
+        rows, cols, costs = zip(*[(self.row[src], self.col[dst], cost)
+                                  for (src, dst), cost in cost_of.items()
+                                  if src in self.row])
         # w[s, v]: link cost s -> v; w_in[v, u]: link cost u -> v.
         self.w = np.full((len(nodes), len(self.targets)), np.inf)
         self.w[rows, cols] = costs
@@ -143,8 +140,8 @@ class RouteTable:
     predecessors when it is first asked for, and kept."""
 
     def __init__(self, instance: NetworkInstance, params: ModelParams):
-        cost_of = {(ln.src, ln.dst): link_cost_per_bit(ln, params)
-                   for ln in instance.links}
+        cost_of = {link: link_cost_per_bit(instance, link, params)
+                   for link in instance.links}
         self._network: dict[int, _Network] = {}
         for net in instance.networks:
             table = _Network(instance, instance.network_node_ids(net), cost_of)

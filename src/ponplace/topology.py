@@ -12,7 +12,7 @@ import csv
 import enum
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 
@@ -72,18 +72,6 @@ class Node:
 
 
 @dataclass(frozen=True)
-class Link:
-    """Directed link.  The amplifier term applies only to WIRELESS links."""
-
-    src: int
-    dst: int
-    src_layer: LayerKind
-    dst_layer: LayerKind
-    medium: Medium
-    distance_m: float
-
-
-@dataclass(frozen=True)
 class TopologyConfig:
     """Generation parameters.  Defaults reproduce the evaluated setup:
     2 IoT networks of 50 objects / 25 relays / 1 coordinator / 1 gateway /
@@ -102,38 +90,54 @@ class TopologyConfig:
     #: Override for the coordinator position; defaults to the area center.
     coordinator_xy: tuple[float, float] | None = None
 
+    def __post_init__(self):
+        """Refuse a value out of range, naming its key."""
+        k = self.relays_per_network
+        grid = k > 0 and self.relay_layout is RelayLayout.GRID
+        n = math.isqrt(max(k, 0))
+        for key, bad, rule in (
+                ("networks", self.networks < 1, "at least 1"),
+                ("objects_per_network", self.objects_per_network < 0,
+                 "at least 0"),
+                ("relays_per_network", k < 0, "at least 0"),
+                ("vm_types", self.vm_types < 1, "at least 1"),
+                ("area_side_m", self.area_side_m <= 0, "> 0"),
+                ("gateway_coordinator_distance_m",
+                 self.gateway_coordinator_distance_m < 0, ">= 0"),
+                ("relays_per_network", self.objects_per_network > 0 and k == 0,
+                 "at least 1 for objects to reach the OLT"),
+                ("relays_per_network", grid and n * n != k,
+                 "a perfect square in the grid layout"),
+                ("relay_spacing_m",
+                 grid and (n - 1) * self.relay_spacing_m > self.area_side_m,
+                 f"small enough for a {n} x {n} relay grid to fit in "
+                 f"area_side_m {self.area_side_m!r}")):
+            if bad:
+                raise ConfigError(f"topology.{key} is {getattr(self, key)!r}; "
+                                  f"it must be {rule}")
+
 
 class NetworkInstance:
-    """Immutable node/link graph plus per-object VM requests.
-
-    Exposes adjacency indices (``out_links`` / ``in_links``), per-layer node
-    lists and a ``(src, dst) -> Link`` lookup.  Instances are safe to share
-    read-only across concurrent solver runs.
-    """
+    """Node/link graph plus per-object VM requests, read-only once built
+    and safe to share across concurrent solver runs.  ``links`` maps each
+    directed link ``(src, dst)``, in build order, to its ``(medium,
+    distance_m)``; only wireless links pay the amplifier term."""
 
     def __init__(self, config: TopologyConfig, nodes: list[Node],
-                 links: list[Link], vm_request: dict[int, int]):
+                 links: dict[tuple[int, int], tuple[Medium, float]],
+                 vm_request: dict[int, int]):
         self.config = config
         self.nodes = tuple(nodes)
-        self.links = tuple(links)
+        self.links = dict(links)
         self.vm_request = dict(vm_request)
-        self.link_by_pair = {(ln.src, ln.dst): ln for ln in links}
         #: IoT network ids, ascending; the OLT belongs to none of them.
         self.networks = tuple(sorted({n.network_id for n in nodes}
                                      - {OLT_NETWORK_ID}))
-        self.out_links: dict[int, list[Link]] = {n.id: [] for n in nodes}
-        self.in_links: dict[int, list[Link]] = {n.id: [] for n in nodes}
-        for ln in links:
-            self.out_links[ln.src].append(ln)
-            self.in_links[ln.dst].append(ln)
         self.nodes_by_layer: dict[LayerKind, list[Node]] = {k: [] for k in LayerKind}
         for n in nodes:
             self.nodes_by_layer[n.layer].append(n)
         #: ``EnergyParams`` -> route table, filled by ``ponplace.routing``.
         self.route_tables: dict = {}
-
-    def node(self, node_id: int) -> Node:
-        return self.nodes[node_id]
 
     def layer(self, node_id: int) -> LayerKind:
         return self.nodes[node_id].layer
@@ -165,30 +169,12 @@ def _relay_positions(config: TopologyConfig) -> list[tuple[float, float]]:
     side = config.area_side_m
     if config.relay_layout is RelayLayout.GRID:
         n = math.isqrt(k)
-        if n * n != k:
-            raise ConfigError(
-                f"grid layout needs a perfect-square relay count, got {k}")
         offset = (side - (n - 1) * config.relay_spacing_m) / 2.0
-        if offset < 0:
-            raise ConfigError("relay grid does not fit in the area")
         return [(offset + i * config.relay_spacing_m,
                  offset + j * config.relay_spacing_m)
                 for j in range(n) for i in range(n)]
     # LINE: evenly spaced on the horizontal mid-line.
     return [((i + 0.5) * side / k, side / 2.0) for i in range(k)]
-
-
-def _validate_config(config: TopologyConfig) -> None:
-    if config.networks < 1:
-        raise ConfigError("need at least one IoT network")
-    if config.objects_per_network < 0 or config.relays_per_network < 0:
-        raise ConfigError("node counts must be nonnegative")
-    if config.vm_types < 1:
-        raise ConfigError("need at least one VM type")
-    if config.area_side_m <= 0:
-        raise ConfigError("area side must be positive")
-    if config.objects_per_network > 0 and config.relays_per_network == 0:
-        raise ConfigError("objects cannot reach the OLT without relays")
 
 
 def build_instance(config: TopologyConfig) -> NetworkInstance:
@@ -199,14 +185,13 @@ def build_instance(config: TopologyConfig) -> NetworkInstance:
     (unless overridden).  Gateway/ONU/OLT carry no physical position: their
     link distances do not enter any cost term and are stored as 0.
     """
-    _validate_config(config)
-    relay_xy = _relay_positions(config) if config.relays_per_network else []
+    relay_xy = _relay_positions(config)
     rng = random.Random(config.rng_seed)
     coord_xy = config.coordinator_xy or (config.area_side_m / 2.0,
                                          config.area_side_m / 2.0)
 
     nodes: list[Node] = []
-    links: list[Link] = []
+    links: dict[tuple[int, int], tuple[Medium, float]] = {}
     vm_request: dict[int, int] = {}
     onu_ids: list[int] = []
 
@@ -214,9 +199,6 @@ def build_instance(config: TopologyConfig) -> NetworkInstance:
         nid = len(nodes)
         nodes.append(Node(nid, layer, network_id, x, y))
         return nid
-
-    def add_link(a: int, b: int, medium: Medium, dist: float) -> None:
-        links.append(Link(a, b, nodes[a].layer, nodes[b].layer, medium, dist))
 
     for net in range(config.networks):
         obj_ids = []
@@ -232,15 +214,15 @@ def build_instance(config: TopologyConfig) -> NetworkInstance:
 
         for o in obj_ids:
             for r in relay_ids:
-                add_link(o, r, Medium.WIRELESS, _dist(nodes[o], nodes[r]))
+                links[o, r] = Medium.WIRELESS, _dist(nodes[o], nodes[r])
         for r1 in relay_ids:
             for r2 in relay_ids:
                 if r1 != r2:
-                    add_link(r1, r2, Medium.WIRELESS, _dist(nodes[r1], nodes[r2]))
-            add_link(r1, coord, Medium.WIRELESS, _dist(nodes[r1], nodes[coord]))
-        add_link(coord, gateway, Medium.WIRELESS,
-                 config.gateway_coordinator_distance_m)
-        add_link(gateway, onu, Medium.ETHERNET, 0.0)
+                    links[r1, r2] = Medium.WIRELESS, _dist(nodes[r1], nodes[r2])
+            links[r1, coord] = Medium.WIRELESS, _dist(nodes[r1], nodes[coord])
+        links[coord, gateway] = (Medium.WIRELESS,
+                                 config.gateway_coordinator_distance_m)
+        links[gateway, onu] = Medium.ETHERNET, 0.0
 
         for i, o in enumerate(obj_ids):
             if config.request_assignment is RequestAssignment.ROUND_ROBIN:
@@ -250,7 +232,7 @@ def build_instance(config: TopologyConfig) -> NetworkInstance:
 
     olt = add_node(LayerKind.OLT, OLT_NETWORK_ID)
     for onu in onu_ids:
-        add_link(onu, olt, Medium.FIBER, 0.0)
+        links[onu, olt] = Medium.FIBER, 0.0
 
     return NetworkInstance(config, nodes, links, vm_request)
 
@@ -288,5 +270,5 @@ def write_csv(instance: NetworkInstance, out_dir: str | Path) -> None:
     with open(out / "edges.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["src", "dst", "medium", "distance_m"])
-        for ln in instance.links:
-            w.writerow([ln.src, ln.dst, ln.medium.value, f"{ln.distance_m:.6f}"])
+        for (src, dst), (medium, distance_m) in instance.links.items():
+            w.writerow([src, dst, medium.value, f"{distance_m:.6f}"])

@@ -90,13 +90,14 @@ def build_model(instance: NetworkInstance, params: ModelParams) -> MilpModel:
     def flow_graph(nodes: set[int]):
         """``_src_dst`` of each link among ``nodes``, and per node in id
         order the positions in that list of its outgoing and incoming ones."""
-        links = [ln for ln in instance.links
-                 if ln.src in nodes and ln.dst in nodes]
-        at = {(ln.src, ln.dst): i for i, ln in enumerate(links)}
-        return [f"_{ln.src}_{ln.dst}" for ln in links], [
-            (x, [at[x, ln.dst] for ln in instance.out_links[x] if ln.dst in nodes],
-             [at[ln.src, x] for ln in instance.in_links[x] if ln.src in nodes])
-            for x in sorted(nodes)]
+        links = [(src, dst) for src, dst in instance.links
+                 if src in nodes and dst in nodes]
+        outs, ins = {x: [] for x in nodes}, {x: [] for x in nodes}
+        for i, (src, dst) in enumerate(links):
+            outs[src].append(i)
+            ins[dst].append(i)
+        return [f"_{src}_{dst}" for src, dst in links], [
+            (x, outs[x], ins[x]) for x in sorted(nodes)]
 
     def commodity(prefix, row_prefix, graph, source, sink, rate) -> list[str]:
         """A commodity's link variables and conservation rows: ``rate``
@@ -142,11 +143,11 @@ def build_model(instance: NetworkInstance, params: ModelParams) -> MilpModel:
 
     # Aggregate per-link traffic variables carry the whole traffic objective.
     lu, lp = {}, {}  # "_src_dst" -> the link's aggregate variables
-    for ln in instance.links:
-        s = f"_{ln.src}_{ln.dst}"
+    for src, dst in instance.links:
+        s = f"_{src}_{dst}"
         lu[s] = var("lu" + s)
-        objective[lu[s]] = link_cost_per_bit(ln, params)
-        if ln.src in cn and ln.dst in cn:
+        objective[lu[s]] = link_cost_per_bit(instance, (src, dst), params)
+        if src in cn and dst in cn:
             lp[s] = var("lp" + s)
             objective[lp[s]] = objective[lu[s]]
     for c in cand:

@@ -42,8 +42,9 @@ def brute_force_optimum(instance, params) -> float:
     path); sum the per-type minima.  Asserts the workload cap never binds,
     which makes the per-type decomposition exact."""
     g = nx.DiGraph()
-    for ln in instance.links:
-        g.add_edge(ln.src, ln.dst, w=pp.link_cost_per_bit(ln, params))
+    for src, dst in instance.links:
+        g.add_edge(src, dst,
+                   w=pp.link_cost_per_bit(instance, (src, dst), params))
     cand = pp.candidate_nodes(instance)
     olt = instance.olt_id
     sub = g.subgraph(cand)
@@ -96,8 +97,9 @@ def joint_brute_force_optimum(instance, params) -> float:
     """Fully joint enumeration (product of per-type subsets) honoring the
     workload cap.  Exponential in types x candidates; tiny instances only."""
     g = nx.DiGraph()
-    for ln in instance.links:
-        g.add_edge(ln.src, ln.dst, w=pp.link_cost_per_bit(ln, params))
+    for src, dst in instance.links:
+        g.add_edge(src, dst,
+                   w=pp.link_cost_per_bit(instance, (src, dst), params))
     cand = pp.candidate_nodes(instance)
     olt = instance.olt_id
     sub = g.subgraph(cand)

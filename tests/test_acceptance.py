@@ -168,13 +168,16 @@ def test_criterion_6_model_audit(minimal_chain, tmp_path):
     # at the relay, full demand object -> relay, half of it onward.
     inst = minimal_chain
     obj = inst.objects()[0]
-    relay = inst.out_links[obj][0].dst
+    # each node of the chain has one out-link
+    nxt = {src: dst for src, dst in inst.links}
+    relay = nxt[obj]
     d2 = {}
     node = obj
-    while inst.out_links[node]:
-        ln = inst.out_links[node][0]
-        d2[(ln.src_layer.value, ln.dst_layer.value)] = ln.distance_m ** 2
-        node = ln.dst
+    while node in nxt:
+        dst = nxt[node]
+        d2[(inst.layer(node).value, inst.layer(dst).value)] = \
+            inst.links[node, dst][1] ** 2
+        node = dst
     up_cost = (50e-9 + 255e-12 * d2[("object", "relay")]) + 5 * 50e-9
     down = (5 * (50e-9 + 255e-12 * d2[("relay", "coordinator")]) + 5 * 50e-9
             + 5 * (50e-9 + 255e-12 * d2[("coordinator", "gateway")]) + 60e-6

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -31,6 +32,24 @@ def test_generate(tmp_path, capsys):
     assert (tmp_path / "nodes.csv").exists()
     assert (tmp_path / "edges.csv").exists()
     assert "nodes.csv" in out
+
+
+GENERATE_SHA256 = {
+    "reduced": {
+        "edges.csv": "ad09fd0a9f1ac1d8e3b27be33a9ccc946cd5af2ca81d67bc072780a5d35753fe",
+        "nodes.csv": "3f89d91740287bc87598a17ea6c9983aac576c512e1831391b2030b803f05656"},
+    "paper": {
+        "edges.csv": "68fa96e17b645d9a67eec1cce16c93a4f87e0cc77362934dea60952f2d397803",
+        "nodes.csv": "848877de5b66d555629c4ba093773b39220870f41fba6234179e1be721024b62"}}
+
+
+@pytest.mark.parametrize("scale", sorted(GENERATE_SHA256))
+def test_generate_bytes_pinned(tmp_path, capsys, scale):
+    code, _, _ = run(capsys, "generate", "--scale", scale, "--seed", "7",
+                     "--out", str(tmp_path))
+    assert code == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in GENERATE_SHA256[scale]} == GENERATE_SHA256[scale]
 
 
 def test_solve_reduced(tmp_path, capsys):
@@ -276,11 +295,25 @@ def test_config_unknown_model_key_exits_1(tmp_path, capsys):
     ('{"topology": {"relay_layout": "hex"}}',
      "topology.relay_layout is \"hex\"; it must be one of ['grid', 'line']"),
     ('{"model": {"scenario": 4}}', "model: unknown scenario 4"),
-    ('{"topolgy": {}}', "unknown sections ['topolgy']")],
+    ('{"topolgy": {}}', "unknown sections ['topolgy']"),
+    ('{"topology": {"networks": 0}}',
+     "topology.networks is 0; it must be at least 1"),
+    ('{"topology": {"relays_per_network": 3}}',
+     "topology.relays_per_network is 3; it must be a perfect square in the "
+     "grid layout"),
+    ('{"topology": {"relay_spacing_m": 100.0}}',
+     "topology.relay_spacing_m is 100.0; it must be small enough for a "
+     "5 x 5 relay grid to fit in area_side_m 30.0"),
+    ('{"topology": {"vm_types": 5}}',
+     "topology.vm_types is 5; scenario 1's workload table defines 4 VM "
+     "types"),
+    ('{"topology": {"gateway_coordinator_distance_m": -100.0}}',
+     "topology.gateway_coordinator_distance_m is -100.0; it must be >= 0")],
     ids=["int-as-text", "fractional-int", "number-as-text", "not-an-object",
          "section-not-an-object", "bool-as-text", "negative-demand",
          "short-pair", "syntax", "unknown-enum", "unknown-scenario",
-         "unknown-section"])
+         "unknown-section", "no-networks", "non-square-grid",
+         "grid-too-wide", "vm-types-over-table", "negative-gateway-distance"])
 def test_bad_config_names_file_and_key(tmp_path, capsys, text, named):
     path = tmp_path / "cfg.json"
     path.write_text(text)

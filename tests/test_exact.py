@@ -125,7 +125,7 @@ def test_unknown_vm_type_rejected(minimal_chain, engine):
     # no engine may answer for only the objects whose type it knows
     params = ModelParams.for_scenario(1, 0.5, vm_types=1)
     bad = pp.NetworkInstance(minimal_chain.config, list(minimal_chain.nodes),
-                             list(minimal_chain.links),
+                             minimal_chain.links,
                              {o: 5 for o in minimal_chain.objects()})
     run = {"exact": solve_exact, "eepiv": pp.run_eepiv,
            "model": pp.build_model}[engine]

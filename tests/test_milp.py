@@ -102,9 +102,9 @@ class TestCommodityGraphs:
         def spanned(o):
             """Links of ``o``'s network that do not leave another object."""
             nodes = set(inst.network_node_ids(inst.network_of(o)))
-            return sum(1 for ln in inst.links
-                       if ln.src in nodes and ln.dst in nodes
-                       and (ln.src == o or ln.src not in objects))
+            return sum(1 for src, dst in inst.links
+                       if src in nodes and dst in nodes
+                       and (src == o or src not in objects))
 
         counts = model.counts()
         assert counts["vars_xuf"] == sum(
@@ -120,7 +120,7 @@ class TestCommodityGraphs:
         o, c = next(iter(flows.upt_commodity))
         other = next(x for x in inst.objects()
                      if x != o and inst.network_of(x) == inst.network_of(o))
-        y = inst.out_links[other][0].dst
+        y = next(dst for src, dst in inst.links if src == other)
         name = f"xuf_{o}_{c}_{other}_{y}"
         assert name not in model.variables
         path = write_solution_values(tmp_path / "sol.txt", sol, flows)

@@ -71,9 +71,11 @@ def test_row_without_terms(tmp_path):
     # Without the relay's out-link the relay has no link among the
     # candidates: the processed commodities' rows there are empty.
     chain = pp.build_instance(pp.minimal_chain_config())
-    relay = chain.out_links[chain.objects()[0]][0].dst
+    obj = chain.objects()[0]
+    relay = next(dst for src, dst in chain.links if src == obj)
     cut = pp.NetworkInstance(chain.config, list(chain.nodes),
-                             [ln for ln in chain.links if ln.src != relay],
+                             {link: end for link, end in chain.links.items()
+                              if link[0] != relay},
                              chain.vm_request)
     assert_same_as_flat(cut, ModelParams.for_scenario(1, 0.5, vm_types=1),
                         tmp_path)

@@ -6,11 +6,17 @@ import pytest
 import ponplace as pp
 from ponplace.power import EnergyParams, ModelParams, WorkloadTable
 from ponplace.solution import FlowAssignment, PlacementSolution
-from ponplace.topology import LayerKind, Link, Medium
+from ponplace.topology import LayerKind, Medium, Node
 
 
-def make_link(src_layer, dst_layer, medium=Medium.WIRELESS, distance=0.0):
-    return Link(0, 1, src_layer, dst_layer, medium, distance)
+def link_cost(src_layer, dst_layer, params, medium=Medium.WIRELESS,
+              distance=0.0):
+    """Cost of the one link (0, 1) between nodes of the given layers."""
+    nodes = [Node(i, layer, 0, math.nan, math.nan)
+             for i, layer in enumerate((src_layer, dst_layer))]
+    instance = pp.NetworkInstance(pp.TopologyConfig(), nodes,
+                                  {(0, 1): (medium, distance)}, {})
+    return pp.link_cost_per_bit(instance, (0, 1), params)
 
 
 def scenario1(r=0.5, vm_types=4):
@@ -20,15 +26,14 @@ def scenario1(r=0.5, vm_types=4):
 class TestLinkCost:
     def test_object_to_relay(self):
         # 1*(50n + 255p*2) + 5*50n
-        link = make_link(LayerKind.OBJECT, LayerKind.RELAY,
-                         distance=math.sqrt(2.0))
-        assert pp.link_cost_per_bit(link, scenario1()) == pytest.approx(
+        assert link_cost(LayerKind.OBJECT, LayerKind.RELAY, scenario1(),
+                         distance=math.sqrt(2.0)) == pytest.approx(
             300.51e-9, rel=1e-12)
 
     def test_onu_to_olt(self):
         # 5*7.5n + 5*225.6p, no amplifier on fiber
-        link = make_link(LayerKind.ONU, LayerKind.OLT, Medium.FIBER, 0.0)
-        assert pp.link_cost_per_bit(link, scenario1()) == pytest.approx(
+        assert link_cost(LayerKind.ONU, LayerKind.OLT, scenario1(),
+                         Medium.FIBER, 0.0) == pytest.approx(
             38.628e-9, rel=1e-12)
 
     def test_zero_energy_gives_zero(self):
@@ -36,13 +41,12 @@ class TestLinkCost:
             scenario1(), energy=EnergyParams(
                 e_ot=0, e_rt=0, e_rr=0, e_ct=0, e_cr=0, e_gr=0, e_gt=0,
                 e_u=0, e_l=0, epsilon=0))
-        link = make_link(LayerKind.OBJECT, LayerKind.RELAY, distance=12.0)
-        assert pp.link_cost_per_bit(link, params) == 0.0
+        assert link_cost(LayerKind.OBJECT, LayerKind.RELAY, params,
+                         distance=12.0) == 0.0
 
     def test_undefined_role_raises(self):
-        link = make_link(LayerKind.OLT, LayerKind.ONU)  # OLT never transmits
-        with pytest.raises(pp.ModelError):
-            pp.link_cost_per_bit(link, scenario1())
+        with pytest.raises(pp.ModelError):  # the OLT never transmits
+            link_cost(LayerKind.OLT, LayerKind.ONU, scenario1())
 
 
 def chain_instance():
@@ -61,10 +65,9 @@ class TestTrafficPower:
     def test_single_object_transmission(self):
         inst = chain_instance()
         obj = inst.objects()[0]
-        relay = inst.out_links[obj][0].dst
+        relay = next(dst for src, dst in inst.links if src == obj)
         # overwrite the drawn distance with d = 10 m
-        link = inst.link_by_pair[(obj, relay)]
-        object.__setattr__(link, "distance_m", 10.0)
+        inst.links[obj, relay] = (Medium.WIRELESS, 10.0)
         flows = link_flows(upt={(obj, relay): 5000.0})
         power = pp.traffic_power(flows, inst, scenario1())
         assert power[LayerKind.OBJECT] == pytest.approx(
@@ -94,7 +97,7 @@ class TestTrafficPower:
     def test_linearity(self):
         inst = chain_instance()
         obj = inst.objects()[0]
-        relay = inst.out_links[obj][0].dst
+        relay = next(dst for src, dst in inst.links if src == obj)
         base = link_flows(upt={(obj, relay): 5000.0},
                           pt={(obj, relay): 100.0})
         double = link_flows(upt={(obj, relay): 10000.0},

@@ -20,18 +20,21 @@ from ponplace.power import (EnergyParams, ModelParams, ProcessingParams,
                             WorkloadTable, link_cost_per_bit)
 from ponplace.routing import (Unreachable, cheapest_path, cheapest_paths,
                               min_hop_path)
-from ponplace.topology import (LayerKind, Link, Medium, NetworkInstance, Node,
+from ponplace.topology import (LayerKind, Medium, NetworkInstance, Node,
                                RelayLayout, candidate_nodes)
 
 
 def _dijkstra(instance, params, src, allowed, key):
     """Settle every reachable node; returns node -> (key_tuple, path).
 
-    ``key(link) -> tuple`` gives the additive edge weight.  Ties are broken
-    by the lexicographically smallest node-id path, which makes the result
-    independent of heap insertion order.
+    ``key(link) -> tuple`` gives the additive edge weight of a ``(src,
+    dst)`` link.  Ties are broken by the lexicographically smallest node-id
+    path, which makes the result independent of heap insertion order.
     """
-    zero = tuple(0 for _ in key(instance.links[0])) if instance.links else ()
+    out = {}  # node -> its out-links, in build order
+    for link in instance.links:
+        out.setdefault(link[0], []).append(link)
+    zero = tuple(0 for _ in key(next(iter(instance.links))))
     best = {}
     heap = [(zero, (src,))]
     while heap:
@@ -40,25 +43,27 @@ def _dijkstra(instance, params, src, allowed, key):
         if node in best:
             continue
         best[node] = (weight, path)
-        for link in instance.out_links[node]:
-            if link.dst in best:
+        for link in out.get(node, ()):
+            dst = link[1]
+            if dst in best:
                 continue
-            if allowed is not None and link.dst not in allowed:
+            if allowed is not None and dst not in allowed:
                 continue
             w = tuple(a + b for a, b in zip(weight, key(link)))
-            heapq.heappush(heap, (w, path + (link.dst,)))
+            heapq.heappush(heap, (w, path + (dst,)))
     return best
 
 
 def ref_cheapest(instance, params, src, allowed=None):
     res = _dijkstra(instance, params, src, allowed,
-                    key=lambda ln: (link_cost_per_bit(ln, params),))
+                    key=lambda ln: (link_cost_per_bit(instance, ln, params),))
     return {n: (w[0], path) for n, (w, path) in res.items()}
 
 
 def ref_min_hop(instance, params, src, allowed=None):
     res = _dijkstra(instance, params, src, allowed,
-                    key=lambda ln: (1, link_cost_per_bit(ln, params)))
+                    key=lambda ln: (1, link_cost_per_bit(instance, ln,
+                                                         params)))
     return {n: (w[0], w[1], path) for n, (w, path) in res.items()}
 
 
@@ -169,7 +174,7 @@ def mirrored_instance():
     def link(a, b, medium=Medium.WIRELESS, dist=None):
         if dist is None:
             dist = math.hypot(nodes[a].x - nodes[b].x, nodes[a].y - nodes[b].y)
-        return Link(a, b, nodes[a].layer, nodes[b].layer, medium, dist)
+        return (a, b), (medium, dist)
 
     relays = (1, 2, 3, 4)
     links = [link(0, r) for r in relays]
@@ -179,7 +184,7 @@ def mirrored_instance():
               link(7, 8, Medium.FIBER, 0.0)]
     config = pp.TopologyConfig(networks=1, objects_per_network=1,
                                relays_per_network=4, vm_types=1)
-    return NetworkInstance(config, nodes, links, {0: 0})
+    return NetworkInstance(config, nodes, dict(links), {0: 0})
 
 
 def test_exact_ties_take_the_smallest_node_id_path():
@@ -194,7 +199,7 @@ def test_exact_ties_take_the_smallest_node_id_path():
     def cost(path):
         total = 0
         for a, b in zip(path, path[1:]):
-            total += link_cost_per_bit(instance.link_by_pair[(a, b)], params)
+            total += link_cost_per_bit(instance, (a, b), params)
         return total
 
     # (0, 1, 4, 5) and (0, 2, 3, 5) tie exactly; the smaller path wins even

@@ -39,14 +39,17 @@ def test_relay_grid_coordinates(paper_instance):
 def test_minimal_chain_unique_path(minimal_chain):
     inst = minimal_chain
     obj = inst.objects()[0]
-    assert len(inst.out_links[obj]) == 1
-    assert inst.out_links[obj][0].medium is Medium.WIRELESS
+    out = {}  # node -> the ends of its out-links
+    for src, dst in inst.links:
+        out.setdefault(src, []).append(dst)
+    assert len(out[obj]) == 1
+    assert inst.links[obj, out[obj][0]][0] is Medium.WIRELESS
     # follow the only links all the way to the OLT
     hops = []
     node = obj
-    while inst.out_links[node]:
-        assert len(inst.out_links[node]) == 1
-        node = inst.out_links[node][0].dst
+    while node in out:
+        assert len(out[node]) == 1
+        node = out[node][0]
         hops.append(inst.layer(node))
     assert hops == [LayerKind.RELAY, LayerKind.COORDINATOR,
                     LayerKind.GATEWAY, LayerKind.ONU, LayerKind.OLT]
@@ -89,20 +92,20 @@ def test_different_seed_moves_objects():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_layer_discipline_and_isolation(seed):
     inst = pp.build_instance(pp.TopologyConfig(rng_seed=seed))
-    for ln in inst.links:
-        assert (ln.src_layer, ln.dst_layer) in ALLOWED_LAYER_PAIRS
-        if inst.network_of(ln.dst) != OLT_NETWORK_ID:
-            assert inst.network_of(ln.src) == inst.network_of(ln.dst)
+    for src, dst in inst.links:
+        assert (inst.layer(src), inst.layer(dst)) in ALLOWED_LAYER_PAIRS
+        if inst.network_of(dst) != OLT_NETWORK_ID:
+            assert inst.network_of(src) == inst.network_of(dst)
 
 
 def test_wireless_distances_bounded(paper_instance):
     side = paper_instance.config.area_side_m
-    for ln in paper_instance.links:
-        if ln.medium is Medium.WIRELESS:
-            if ln.src_layer is LayerKind.COORDINATOR:
-                assert ln.distance_m == 100.0
+    for (src, _), (medium, distance_m) in paper_instance.links.items():
+        if medium is Medium.WIRELESS:
+            if paper_instance.layer(src) is LayerKind.COORDINATOR:
+                assert distance_m == 100.0
             else:
-                assert ln.distance_m <= side * math.sqrt(2) + 1e-9
+                assert distance_m <= side * math.sqrt(2) + 1e-9
 
 
 def test_objects_within_area(paper_instance):
@@ -151,6 +154,6 @@ def test_csv_export(tmp_path, minimal_chain):
 
 def test_olt_shared_by_both_networks(paper_instance):
     olt = paper_instance.olt_id
-    sources = {paper_instance.network_of(ln.src)
-               for ln in paper_instance.in_links[olt]}
+    sources = {paper_instance.network_of(src)
+               for src, dst in paper_instance.links if dst == olt}
     assert sources == {0, 1}
