@@ -1,6 +1,6 @@
 """Energy-aware VM and cloudlet placement for IoT networks over a PON."""
 
-from .eepiv import HeuristicResult, run_eepiv
+from .eepiv import run_eepiv
 from .experiments import (SweepError, SweepResult, SweepSpec, run_sweep,
                           savings_summary, write_placements_csv,
                           write_savings_csv, write_sweep_csv)
@@ -10,7 +10,7 @@ from .milp import (InfeasibleError, ResourceBudgetError,
 from .power import (EnergyParams, ModelError, ModelParams, PowerReport,
                     ProcessingParams, WorkloadTable, link_cost_per_bit,
                     processing_power, total_objective, traffic_power)
-from .solution import FlowAssignment, PlacementSolution
+from .solution import EngineResult, FlowAssignment, PlacementSolution
 from .topology import (ConfigError, LayerKind, Medium, NetworkInstance, Node,
                        RelayLayout, RequestAssignment, TopologyConfig,
                        build_instance, candidate_nodes, minimal_chain_config)
@@ -28,7 +28,7 @@ __all__ = [
     "PlacementSolution", "FlowAssignment",
     "build_model", "emit_lp", "emit_mps", "solve_exact", "validate_solution",
     "ResourceBudgetError", "InfeasibleError",
-    "run_eepiv", "HeuristicResult",
+    "run_eepiv", "EngineResult",
     "SweepSpec", "SweepResult", "SweepError", "run_sweep", "savings_summary",
     "write_sweep_csv", "write_placements_csv", "write_savings_csv",
     "__version__",

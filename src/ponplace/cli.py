@@ -180,18 +180,16 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command in ("solve", "heuristic"):
-        if args.command == "solve":
-            solution, flows, report = milp.solve_exact(instance, params)
-            headline = f"optimal total: {report.total_w:.6f} W"
-        else:
-            res = eepiv_mod.run_eepiv(instance, params)
-            solution, flows = res.solution, res.flows
-            headline = (f"heuristic total: {res.report.total_w:.6f} W "
-                        f"(served {res.served_count} objects)")
+        exact = args.command == "solve"
+        engine = milp.solve_exact if exact else eepiv_mod.run_eepiv
+        res = engine(instance, params)
         out.mkdir(parents=True, exist_ok=True)
-        milp.write_solution_values(out / "solution.txt", solution, flows)
-        print(headline)
-        for (c, v) in sorted(solution.placed):
+        milp.write_solution_values(out / "solution.txt", res.solution,
+                                   res.flows)
+        total = f"{res.report.total_w:.6f} W"
+        print(f"optimal total: {total}" if exact else
+              f"heuristic total: {total} (served {res.served_count} objects)")
+        for (c, v) in sorted(res.solution.placed):
             print(f"  type {v} at node {c} ({instance.layer(c).value}, "
                   f"network {instance.network_of(c)})")
         return 0

@@ -2,30 +2,21 @@
 
 Candidates are scanned bottom-up (relays first, network by network, the OLT
 last) and each VM type is hosted at the first candidate with spare workload
-capacity whose network does not already see an instance of that type.  The
-OLT counts as belonging to every network.  Demands are then routed per
-commodity on minimum-hop paths and the total power computed with the same
-weighting as the exact engine, so both objectives are commensurable.
+capacity (any candidate when capacity is not enforced) whose network does
+not already see an instance of that type.  The OLT counts as belonging to
+every network.  Demands are then routed per commodity on minimum-hop paths
+and the total power computed as for the exact engine (``solution.serve``),
+so both objectives are commensurable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .milp import require_known_vm_types
-from .power import ModelParams, PowerReport, total_objective
+from .power import ModelParams
 from .routing import min_hop_path
-from .solution import FlowAssignment, PlacementSolution, build_flows
+from .solution import EngineResult, serve
 from .topology import (LayerKind, NetworkInstance, OLT_NETWORK_ID,
                        candidate_nodes)
-
-
-@dataclass(frozen=True)
-class HeuristicResult:
-    solution: PlacementSolution
-    flows: FlowAssignment
-    report: PowerReport
-    served_count: int
 
 
 def _candidate_order(instance: NetworkInstance) -> list[int]:
@@ -40,7 +31,7 @@ def _candidate_order(instance: NetworkInstance) -> list[int]:
 
 
 def run_eepiv(instance: NetworkInstance,
-              params: ModelParams) -> HeuristicResult:
+              params: ModelParams) -> EngineResult:
     """Run the greedy placement and routing pass.
 
     Objects whose type finds no host (capacity exhaustion) are left
@@ -68,7 +59,8 @@ def run_eepiv(instance: NetworkInstance,
             if not wanting:
                 continue
             w = params.workloads.workload(v, c_layer)
-            if workload.get(c, 0.0) + w > 1.0 + 1e-12:
+            if (params.capacity_enforced
+                    and workload.get(c, 0.0) + w > 1.0 + 1e-12):
                 continue
             workload[c] = workload.get(c, 0.0) + w
             for net in wanting:
@@ -80,12 +72,4 @@ def run_eepiv(instance: NetworkInstance,
         if c is not None:
             served[o] = c
 
-    solution = PlacementSolution.from_assignment(instance, params, served)
-    olt = instance.olt_id
-    flows = build_flows(
-        instance, params, solution,
-        path_unprocessed=lambda o, c: min_hop_path(instance, params, o, c)[2],
-        path_processed=lambda c: min_hop_path(instance, params, c, olt)[2])
-    report = total_objective(solution, flows, instance, params)
-    return HeuristicResult(solution=solution, flows=flows, report=report,
-                           served_count=len(served))
+    return serve(instance, params, served, min_hop_path)

@@ -120,23 +120,18 @@ def _run_cell(key: CellKey, scale: str, capacity_enforced: bool) -> CellResult:
     params = ModelParams.for_scenario(key.scenario, key.reduction,
                                       vm_types=instance.config.vm_types,
                                       capacity_enforced=capacity_enforced)
+    engine = eepiv_mod.run_eepiv if key.engine == "eepiv" else milp.solve_exact
     objects = len(instance.objects())
     start = time.perf_counter()
     try:
-        if key.engine == "eepiv":
-            res = eepiv_mod.run_eepiv(instance, params)
-            solution, report, served = (res.solution, res.report,
-                                        res.served_count)
-        else:
-            solution, _, report = milp.solve_exact(instance, params)
-            served = len(solution.assignment)
+        res = engine(instance, params)
     except milp.ResourceBudgetError as exc:
         return CellResult(report=None, placements=[], served_count=0,
                           wall_time_s=time.perf_counter() - start,
                           error=str(exc), object_count=objects)
-    return CellResult(report=report,
-                      placements=_placement_rows(instance, solution),
-                      served_count=served,
+    return CellResult(report=res.report,
+                      placements=_placement_rows(instance, res.solution),
+                      served_count=res.served_count,
                       wall_time_s=time.perf_counter() - start,
                       object_count=objects)
 

@@ -30,10 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .power import (ModelParams, PowerReport, link_cost_per_bit,
-                    total_objective)
+from .power import ModelParams, link_cost_per_bit, total_objective
 from .routing import cheapest_path, cheapest_paths
-from .solution import FlowAssignment, PlacementSolution, build_flows
+from .solution import EngineResult, FlowAssignment, PlacementSolution, serve
 from .topology import LayerKind, NetworkInstance, candidate_nodes
 
 #: Big-M constants used in the emitted model (not by the native engines).
@@ -550,6 +549,8 @@ def _mps_lines(model: MilpModel):
                         for entry in col + [f"{fam}{s}  {number[-1.0]}"]])
 
     columns = _Text(links)
+    # The binaries (H_, Iv_) sort before every other name, and a TW_c
+    # follows them in every model, so a named column closes each INTORG run.
     in_int = False
     for col in _columns(model):
         if isinstance(col, str):
@@ -559,13 +560,8 @@ def _mps_lines(model: MilpModel):
             if entries[col]:
                 yield "    " + col + ("\n    " + col).join(entries[col]) + "\n"
             continue
-        if in_int:
-            in_int = False
-            yield marker.format("INTEND")
         com, fam = col
         yield _stamp(columns[com.graph, fam], com)
-    if in_int:
-        yield marker.format("INTEND")
     yield "RHS\n"
     yield from (f"    RHS  {part.name}  {number[part.rhs]}\n"
                 for part in model.blocks if isinstance(part, Row) and part.rhs)
@@ -904,8 +900,8 @@ def validate_solution(solution: PlacementSolution, flows: FlowAssignment,
 NODE_LIMIT = 10_000
 
 
-def solve_exact(instance: NetworkInstance, params: ModelParams
-                ) -> tuple[PlacementSolution, FlowAssignment, PowerReport]:
+def solve_exact(instance: NetworkInstance,
+                params: ModelParams) -> EngineResult:
     """Provably optimal placement: the facility-location MILP of the module
     docstring, solved by HiGHS (``scipy.optimize.milp``) with zero gap.
 
@@ -930,10 +926,9 @@ def solve_exact(instance: NetworkInstance, params: ModelParams
     cand = candidate_nodes(instance)
     objects = instance.objects()
 
-    # Cheapest processed path per candidate (no link enters an object, so
+    # Cheapest processed cost per candidate (no link enters an object, so
     # it stays on the candidate-only subgraph) and unprocessed per object.
-    proc = {c: (0.0, (olt,)) if c == olt
-            else cheapest_path(instance, params, c, olt) for c in cand}
+    proc = {c: cheapest_path(instance, params, c, olt)[0] for c in cand}
     up = {o: cheapest_paths(instance, params, o) for o in objects}
 
     # Columns: x per visible, routable (object, candidate) pair, then y per
@@ -942,7 +937,7 @@ def solve_exact(instance: NetworkInstance, params: ModelParams
              for c in instance.visible_candidates(o) if c in up[o]]
     opens = [(c, v) for c in cand for v in range(vm_types)]
     work = [params.workloads.workload(v, instance.layer(c)) for c, v in opens]
-    cost = [demand * up[o][c][0] + f * demand * proc[c][0] for o, c in pairs]
+    cost = [demand * up[o][c][0] + f * demand * proc[c] for o, c in pairs]
     objective = np.array(cost + [
         w * params.processing.max_power(instance.layer(c))
         for w, (c, _) in zip(work, opens)])
@@ -990,9 +985,4 @@ def solve_exact(instance: NetworkInstance, params: ModelParams
             best[o] = min(best.get(o, (d, c)), (d, c))
     served = {o: c for o, (_, c) in best.items()}
 
-    solution = PlacementSolution.from_assignment(instance, params, served)
-    flows = build_flows(instance, params, solution,
-                        path_unprocessed=lambda o, c: up[o][c][1],
-                        path_processed=lambda c: proc[c][1])
-    report = total_objective(solution, flows, instance, params)
-    return solution, flows, report
+    return serve(instance, params, served, cheapest_path)

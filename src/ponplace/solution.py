@@ -1,11 +1,13 @@
 """Placement solutions and per-commodity flow assignments shared by the exact
-engine, the heuristic and the validator."""
+engine, the heuristic and the validator, and the routed tail both engines
+end in (``serve``)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .power import ModelParams
+from .power import ModelParams, PowerReport, total_objective
 from .topology import LayerKind, NetworkInstance
 
 
@@ -24,19 +26,6 @@ class PlacementSolution:
     #: candidates a solution file states open (``H_c`` 1), or None when it
     #: states no ``H_c``; an engine decides ``placed`` alone.
     opened: frozenset[int] | None = None
-
-    @classmethod
-    def from_assignment(cls, instance: NetworkInstance, params: ModelParams,
-                        served: dict[int, int]) -> "PlacementSolution":
-        """Build from a single-instance assignment ``object -> candidate``;
-        the placed set and workloads follow from the objects' VM requests."""
-        placed = frozenset((c, instance.vm_request[o]) for o, c in served.items())
-        workload: dict[int, float] = {}
-        for c, v in placed:
-            workload[c] = workload.get(c, 0.0) + params.workloads.workload(
-                v, instance.layer(c))
-        assignment = {o: [(c, params.demand_bps)] for o, c in served.items()}
-        return cls(placed=placed, workload=workload, assignment=assignment)
 
     def cloudlet_open(self) -> set[int]:
         return {c for c, _ in self.placed}
@@ -82,24 +71,54 @@ class FlowAssignment:
 
 
 def build_flows(instance: NetworkInstance, params: ModelParams,
-                solution: PlacementSolution,
-                path_unprocessed, path_processed) -> FlowAssignment:
-    """Route every assigned share: unprocessed object -> cloudlet along
-    ``path_unprocessed(o, c)``, then the reduced fraction cloudlet -> OLT
-    along ``path_processed(c)`` (skipped for an OLT-hosted cloudlet, whose
-    processed path has zero length)."""
+                solution: PlacementSolution, route) -> FlowAssignment:
+    """Route every assigned share along the path that
+    ``route(instance, params, src, dst)`` returns as its last item:
+    unprocessed object -> cloudlet, then the reduced fraction cloudlet ->
+    OLT (skipped for an OLT-hosted cloudlet, whose processed path has zero
+    length)."""
     flows = FlowAssignment()
     olt = instance.olt_id
     inflow: dict[int, float] = {}
     for o in sorted(solution.assignment):
         for c, rate in solution.assignment[o]:
-            if rate <= 0.0:
-                continue
-            flows.add_unprocessed(o, c, path_unprocessed(o, c), rate)
+            flows.add_unprocessed(o, c, route(instance, params, o, c)[-1], rate)
             inflow[c] = inflow.get(c, 0.0) + rate
     f = params.remaining_fraction
     for c in sorted(inflow):
         if c == olt:
             continue
-        flows.add_processed(c, path_processed(c), f * inflow[c])
+        flows.add_processed(c, route(instance, params, c, olt)[-1],
+                            f * inflow[c])
     return flows
+
+
+class EngineResult(NamedTuple):
+    """What an engine returns: its placement, the routed flows and their
+    power."""
+
+    solution: PlacementSolution
+    flows: FlowAssignment
+    report: PowerReport
+
+    @property
+    def served_count(self) -> int:
+        return len(self.solution.assignment)
+
+
+def serve(instance: NetworkInstance, params: ModelParams,
+          served: dict[int, int], route) -> EngineResult:
+    """The part both engines share once each object has its candidate
+    (``object -> candidate``): place the objects' VM types there, route
+    the demands with ``route`` and total the power."""
+    placed = frozenset((c, instance.vm_request[o]) for o, c in served.items())
+    workload: dict[int, float] = {}
+    for c, v in placed:
+        workload[c] = workload.get(c, 0.0) + params.workloads.workload(
+            v, instance.layer(c))
+    assignment = {o: [(c, params.demand_bps)] for o, c in served.items()}
+    solution = PlacementSolution(placed=placed, workload=workload,
+                                 assignment=assignment)
+    flows = build_flows(instance, params, solution, route)
+    return EngineResult(solution, flows,
+                        total_objective(solution, flows, instance, params))

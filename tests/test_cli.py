@@ -114,10 +114,21 @@ def test_validate_flags_corrupted_solution(tmp_path, capsys):
     # node 24 hosts the instances of network 0, node 25 none:
     # sum_v Iv - GAMMA H <= 0 (cl23) and sum_v Iv - H >= 0 (cl22) break
     ("H_24 0", "", {"cl23_24"}),
-    ("H_25 1", "", {"cl22_25"})],
+    ("H_25 1", "", {"cl22_25"}),
+    # object 0 still sends its type-0 traffic to node 24 (lo20), whose
+    # stated workload now exceeds its instances' (tw24)
+    ("Iv_24_0 0", "", {"lo20_24_0", "tw24_24"}),
+    # object 0's share at node 24 far above its demand and above BETA_BPS,
+    # the most one instance carries (hi21)
+    ("xoc_0_24 20000000.0", "",
+     {"d13_0", "fc15_0_24_0", "fc15_0_24_24", "red17_24", "hi21_24_0"}),
+    # node 24's processed flow on 0 -> 25, a link the uplink graph lacks
+    ("xpf_24_0_25 1.0", "",
+     {"fc18_24_offgraph_0_25", "fc18_24_0", "fc18_24_25"})],
     ids=["over-capacity", "workload-where-nothing-is-hosted", "onu-as-object",
          "fractional-binary", "hosting-cloudlet-closed",
-         "empty-cloudlet-open"])
+         "empty-cloudlet-open", "traffic-to-a-closed-instance",
+         "share-above-demand", "processed-flow-off-the-graph"])
 def test_validate_reports_or_refuses_a_bad_file(tmp_path, capsys, line, err,
                                                 rows):
     """The reduced heuristic's solution file with ``line`` in place of the
@@ -384,3 +395,39 @@ def test_missing_input_file_exits_1(tmp_path, capsys, argv):
     assert code == 1
     assert err == f"error: {missing}: No such file or directory\n"
     assert not (tmp_path / "nd").exists()
+
+
+def test_resource_budget_fails_the_cell_not_the_sweep(tmp_path, capsys,
+                                                      monkeypatch):
+    """An exact engine that stops at its node limit fails its own cells: the
+    sweep records the error in each one's row, skips the savings that need
+    them and exits 0, while ``solve`` exits 1 naming the budget."""
+    message = "HiGHS stopped before proving optimality"
+
+    def out_of_budget(instance, params):
+        raise pp.ResourceBudgetError(message)
+
+    monkeypatch.setattr("ponplace.milp.solve_exact", out_of_budget)
+    code, out, _ = run(capsys, "sweep", "--scale", "reduced",
+                       "--scenarios", "1,2,3", "--reductions", "0.5",
+                       "--engine", "eepiv", "--engine", "exact",
+                       "--seeds", "7", "--jobs", "1", "--out", str(tmp_path))
+    assert code == 0
+    assert f"failed: {message}" in out
+    assert out.startswith("savings skipped: cell CellKey(scenario=1, "
+                          "reduction=0.5, engine='exact', seed=7)")
+    assert not (tmp_path / "savings.csv").exists()
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    failed = [row.split(",") for row in rows if ",exact," in row]
+    assert [row[:4] for row in failed] == [[str(sc), "0.5", "exact", "7"]
+                                           for sc in (1, 2, 3)]
+    for row in failed:
+        assert row[4:9] == [""] * 5
+        assert row[9] == "0"
+        assert row[11] == message
+    assert len(rows) == len(failed) + 3 * len(pp.LayerKind)
+
+    code, _, err = run(capsys, "solve", "--scale", "reduced",
+                       "--out", str(tmp_path / "solve"))
+    assert code == 1
+    assert err == f"error: resource-budget: {message}\n"

@@ -52,6 +52,20 @@ def test_capacity_respected_everywhere():
     assert res.served_count == 8
 
 
+def test_no_capacity_places_past_the_cap(reduced_instance):
+    """With capacity not enforced the greedy scan never passes a candidate
+    over: each network's first relay hosts all four types, a workload of
+    1.6 in scenario 2."""
+    params = ModelParams.for_scenario(2, 0.5, capacity_enforced=False)
+    res = run_eepiv(reduced_instance, params)
+    first = [min(n for n in reduced_instance.network_node_ids(net)
+                 if reduced_instance.layer(n) is LayerKind.RELAY)
+             for net in reduced_instance.networks]
+    assert res.solution.placed == {(c, v) for c in first for v in range(4)}
+    assert res.solution.workload == {c: pytest.approx(1.6) for c in first}
+    assert res.served_count == 48
+
+
 def test_zero_objects_zero_power():
     inst = pp.build_instance(pp.minimal_chain_config(objects_per_network=0))
     params = ModelParams.for_scenario(1, 0.5, vm_types=1)
