@@ -125,7 +125,7 @@ def _run_cell(key: CellKey, scale: str, capacity_enforced: bool) -> CellResult:
     start = time.perf_counter()
     try:
         res = engine(instance, params)
-    except milp.ResourceBudgetError as exc:
+    except (milp.ResourceBudgetError, milp.InfeasibleError) as exc:
         return CellResult(report=None, placements=[], served_count=0,
                           wall_time_s=time.perf_counter() - start,
                           error=str(exc), object_count=objects)

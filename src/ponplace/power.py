@@ -177,26 +177,64 @@ SCALED_LAYERS = (LayerKind.RELAY, LayerKind.COORDINATOR,
                  LayerKind.ONU, LayerKind.OLT)
 
 
+class EnergyColumns:
+    """One instance's per-node energies under one ``EnergyParams``, each a
+    list indexed by node id: transmit and receive energy (J/bit; None where
+    the node's layer has no such role), the A weight, and the slot of the
+    node's layer in ``LayerKind`` order.  A link's energies are read from
+    its end nodes' entries; only the amplifier term is per link."""
+
+    def __init__(self, instance: NetworkInstance, energy: EnergyParams):
+        layers = [node.layer for node in instance.nodes]
+        slot_of = {k: i for i, k in enumerate(LayerKind)}
+        self.links = instance.links
+        self.layers = layers
+        self.tx = [getattr(energy, _TX_ATTR[k]) if k in _TX_ATTR else None
+                   for k in layers]
+        self.rx = [getattr(energy, _RX_ATTR[k]) if k in _RX_ATTR else None
+                   for k in layers]
+        self.weight = [a_weight(k, energy.scaling_a) for k in layers]
+        self.slot = [slot_of[k] for k in layers]
+        self.epsilon = energy.epsilon
+
+    def energy(self, link: tuple[int, int]) -> tuple[float, float]:
+        """Transmit energy at the source (amplifier term included on
+        wireless links) and receive energy at the destination of ``link``.
+        A pair that is not a link raises ``KeyError``."""
+        medium, distance_m = self.links[link]
+        src, dst = link
+        tx = self.tx[src]
+        if tx is None:
+            raise ModelError(f"layer {self.layers[src]} has no transmit role")
+        if medium is Medium.WIRELESS:
+            tx += self.epsilon * distance_m ** 2
+        rx = self.rx[dst]
+        if rx is None:
+            raise ModelError(f"layer {self.layers[dst]} has no receive role")
+        return tx, rx
+
+    def cost(self, link: tuple[int, int]) -> float:
+        """The A-weighted transmit plus receive energy of ``link``."""
+        tx, rx = self.energy(link)
+        return self.weight[link[0]] * tx + self.weight[link[1]] * rx
+
+
+def energy_columns(instance: NetworkInstance,
+                   energy: EnergyParams) -> EnergyColumns:
+    """The instance's columns for ``energy``, computed on first use."""
+    columns = instance.energy_columns.get(energy)
+    if columns is None:
+        columns = instance.energy_columns[energy] = EnergyColumns(instance,
+                                                                  energy)
+    return columns
+
+
 def link_energy(instance: NetworkInstance, link: tuple[int, int],
                 energy: EnergyParams) -> tuple[float, float]:
     """Unweighted energies (J/bit) of one bit across ``link``, a ``(src,
     dst)`` pair of ``instance.links``: transmit at the source (amplifier
     term included on wireless links) and receive at the destination."""
-    medium, distance_m = instance.links[link]
-    src, dst = link
-    try:
-        tx = getattr(energy, _TX_ATTR[instance.layer(src)])
-    except KeyError:
-        raise ModelError(
-            f"layer {instance.layer(src)} has no transmit role") from None
-    if medium is Medium.WIRELESS:
-        tx += energy.epsilon * distance_m ** 2
-    try:
-        rx = getattr(energy, _RX_ATTR[instance.layer(dst)])
-    except KeyError:
-        raise ModelError(
-            f"layer {instance.layer(dst)} has no receive role") from None
-    return tx, rx
+    return energy_columns(instance, energy).energy(link)
 
 
 def a_weight(layer: LayerKind, scaling_a: float) -> float:
@@ -209,10 +247,7 @@ def link_cost_per_bit(instance: NetworkInstance, link: tuple[int, int],
     """Objective cost (J/bit) of pushing one bit across ``link``: the
     A-weighted transmit energy at the source plus the A-weighted receive
     energy at the destination."""
-    a = params.energy.scaling_a
-    tx, rx = link_energy(instance, link, params.energy)
-    return (a_weight(instance.layer(link[0]), a) * tx
-            + a_weight(instance.layer(link[1]), a) * rx)
+    return energy_columns(instance, params.energy).cost(link)
 
 
 def traffic_power(flows, instance: NetworkInstance,
@@ -223,17 +258,19 @@ def traffic_power(flows, instance: NetworkInstance,
     wireless links) for outgoing bits and its receive energy for incoming
     bits.  Objects only transmit; the OLT only receives.
     """
-    power = {k: 0.0 for k in LayerKind}
+    columns = energy_columns(instance, params.energy)
+    slot = columns.slot
+    power = [0.0] * len(LayerKind)
     upt, pt = flows.link_rates()
     for pair in set(upt) | set(pt):
         try:
-            tx, rx = link_energy(instance, pair, params.energy)
+            tx, rx = columns.energy(pair)
         except KeyError:
             raise ModelError(f"flow on non-existent link {pair}") from None
         rate = upt.get(pair, 0.0) + pt.get(pair, 0.0)
-        power[instance.layer(pair[0])] += rate * tx
-        power[instance.layer(pair[1])] += rate * rx
-    return power
+        power[slot[pair[0]]] += rate * tx
+        power[slot[pair[1]]] += rate * rx
+    return dict(zip(LayerKind, power))
 
 
 def processing_power(solution, instance: NetworkInstance,

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import heapq
 from functools import cached_property
-from itertools import groupby
 
 import numpy as np
 
-from .power import EnergyParams, ModelParams, link_cost_per_bit
+from .power import EnergyParams, ModelParams, energy_columns
 from .topology import LayerKind, NetworkInstance
 
 #: Largest (sources x targets x targets) temporary one label computation
@@ -134,14 +133,33 @@ class _Network:
         return order
 
 
+def _settle(paths: dict[int, tuple[int, ...]],
+            preds: dict[int, list[int]]) -> None:
+    """Settle one group of equal labels in ``paths``, as Dijkstra would:
+    smallest path first.  ``preds`` maps each node of the group to its
+    tight predecessors, which lie in ``paths`` or in the group itself
+    (zero-cost links make nodes of one group each other's predecessors)."""
+    heap = [(paths[u] + (v,), v) for v, us in preds.items()
+            for u in us if u in paths]
+    heapq.heapify(heap)
+    while heap:
+        path, v = heapq.heappop(heap)
+        if v in paths:
+            continue
+        paths[v] = path
+        for w, us in preds.items():
+            if w not in paths and v in us:
+                heapq.heappush(heap, (path + (w,), w))
+
+
 class RouteTable:
     """Every route of one instance under one ``EnergyParams``.  Link costs
     are computed once; the paths from a source are rebuilt from tight
     predecessors when it is first asked for, and kept."""
 
     def __init__(self, instance: NetworkInstance, params: ModelParams):
-        cost_of = {link: link_cost_per_bit(instance, link, params)
-                   for link in instance.links}
+        link_cost = energy_columns(instance, params.energy).cost
+        cost_of = {link: link_cost(link) for link in instance.links}
         self._network: dict[int, _Network] = {}
         for net in instance.networks:
             table = _Network(instance, instance.network_node_ids(net), cost_of)
@@ -161,23 +179,25 @@ class RouteTable:
         labels: _Order = getattr(table, order)
         i, targets = table.row[src], table.targets.tolist()
         hops, cost, first = labels.hops[i], labels.cost[i], labels.first[i]
+        ties = labels.ties
         reached = sorted((hops[j], cost[j], j) for j, t in enumerate(targets)
                          if cost[j] != np.inf and t != src)
         paths = {src: (src,)}
-        for _, group in groupby(reached, key=lambda label: label[:2]):
-            preds = {targets[j]: labels.ties.get((i, j), (first[j],))
-                     for *_, j in group}
-            heap = [(paths[u] + (v,), v) for v, us in preds.items()
-                    for u in us if u in paths]
-            heapq.heapify(heap)
-            while heap:
-                path, v = heapq.heappop(heap)
-                if v in paths:
-                    continue
-                paths[v] = path
-                for w, us in preds.items():
-                    if w not in paths and v in us:
-                        heapq.heappush(heap, (path + (w,), w))
+        group = []
+        for k, (h, c, j) in enumerate(reached, 1):
+            group.append(j)
+            if k < len(reached) and reached[k][0] == h and reached[k][1] == c:
+                continue  # the next node carries the same label
+            if len(group) == 1:
+                # Alone in its label group: its tight predecessors all
+                # carry smaller labels, so they are settled already.
+                v, us = targets[j], ties.get((i, j))
+                paths[v] = (paths[first[j]] + (v,) if us is None
+                            else min(paths[u] + (v,) for u in us))
+            else:
+                _settle(paths, {targets[j]: ties.get((i, j), (first[j],))
+                                for j in group})
+            group = []
         self._paths[(order, src)] = paths
         return paths
 

@@ -138,6 +138,8 @@ class NetworkInstance:
             self.nodes_by_layer[n.layer].append(n)
         #: ``EnergyParams`` -> route table, filled by ``ponplace.routing``.
         self.route_tables: dict = {}
+        #: ``EnergyParams`` -> per-node energies, filled by ``ponplace.power``.
+        self.energy_columns: dict = {}
 
     def layer(self, node_id: int) -> LayerKind:
         return self.nodes[node_id].layer

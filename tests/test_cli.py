@@ -397,25 +397,23 @@ def test_missing_input_file_exits_1(tmp_path, capsys, argv):
     assert not (tmp_path / "nd").exists()
 
 
-def test_resource_budget_fails_the_cell_not_the_sweep(tmp_path, capsys,
-                                                      monkeypatch):
-    """An exact engine that stops at its node limit fails its own cells: the
-    sweep records the error in each one's row, skips the savings that need
-    them and exits 0, while ``solve`` exits 1 naming the budget."""
-    message = "HiGHS stopped before proving optimality"
+def exact_cells_fail_alone(tmp_path, capsys, monkeypatch, error):
+    """Run a reduced two-engine sweep whose exact engine raises ``error``
+    and check that only its cells fail: their rows carry the error, the
+    savings are skipped and the sweep exits 0.  Returns the stderr of a
+    ``solve`` with the same engine, which must exit 1."""
+    def failing(instance, params):
+        raise error
 
-    def out_of_budget(instance, params):
-        raise pp.ResourceBudgetError(message)
-
-    monkeypatch.setattr("ponplace.milp.solve_exact", out_of_budget)
+    monkeypatch.setattr("ponplace.milp.solve_exact", failing)
     code, out, _ = run(capsys, "sweep", "--scale", "reduced",
                        "--scenarios", "1,2,3", "--reductions", "0.5",
                        "--engine", "eepiv", "--engine", "exact",
                        "--seeds", "7", "--jobs", "1", "--out", str(tmp_path))
     assert code == 0
-    assert f"failed: {message}" in out
     assert out.startswith("savings skipped: cell CellKey(scenario=1, "
-                          "reduction=0.5, engine='exact', seed=7)")
+                          "reduction=0.5, engine='exact', seed=7) "
+                          f"failed: {error}\n")
     assert not (tmp_path / "savings.csv").exists()
     rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
     failed = [row.split(",") for row in rows if ",exact," in row]
@@ -424,10 +422,30 @@ def test_resource_budget_fails_the_cell_not_the_sweep(tmp_path, capsys,
     for row in failed:
         assert row[4:9] == [""] * 5
         assert row[9] == "0"
-        assert row[11] == message
+        assert row[11] == str(error)
     assert len(rows) == len(failed) + 3 * len(pp.LayerKind)
 
     code, _, err = run(capsys, "solve", "--scale", "reduced",
                        "--out", str(tmp_path / "solve"))
     assert code == 1
+    return err
+
+
+def test_resource_budget_fails_the_cell_not_the_sweep(tmp_path, capsys,
+                                                      monkeypatch):
+    """An exact engine that stops at its node limit fails its own cells,
+    while ``solve`` exits 1 naming the budget."""
+    message = "HiGHS stopped before proving optimality"
+    err = exact_cells_fail_alone(tmp_path, capsys, monkeypatch,
+                                 pp.ResourceBudgetError(message))
     assert err == f"error: resource-budget: {message}\n"
+
+
+def test_infeasible_cell_fails_the_cell_not_the_sweep(tmp_path, capsys,
+                                                      monkeypatch):
+    """An exact cell with no feasible placement fails alone, as a cell out
+    of budget does, while ``solve`` exits 1 naming the cause."""
+    message = "no placement serves every object within the workload caps"
+    err = exact_cells_fail_alone(tmp_path, capsys, monkeypatch,
+                                 pp.InfeasibleError(message))
+    assert err == f"error: {message}\n"

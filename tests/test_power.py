@@ -1,12 +1,16 @@
 import dataclasses
 import math
+import re
 
 import pytest
 
 import ponplace as pp
+from ponplace.experiments import topology_for_scale
 from ponplace.power import EnergyParams, ModelParams, WorkloadTable
+from ponplace.routing import min_hop_path, route_table
 from ponplace.solution import FlowAssignment, PlacementSolution
 from ponplace.topology import LayerKind, Medium, Node
+from test_routing import ENERGIES
 
 
 def link_cost(src_layer, dst_layer, params, medium=Medium.WIRELESS,
@@ -106,6 +110,143 @@ class TestTrafficPower:
         p2 = pp.traffic_power(double, inst, scenario1())
         for layer in p1:
             assert p2[layer] == pytest.approx(2 * p1[layer], abs=1e-18)
+
+
+#: The energy formula evaluated link by link, the reference the per-node
+#: columns must equal bit for bit: each end's energy attribute by its
+#: layer, the amplifier term on wireless links, and A on the scaled layers.
+REF_TX = {LayerKind.OBJECT: "e_ot", LayerKind.RELAY: "e_rt",
+          LayerKind.COORDINATOR: "e_ct", LayerKind.GATEWAY: "e_gt",
+          LayerKind.ONU: "e_u"}
+REF_RX = {LayerKind.RELAY: "e_rr", LayerKind.COORDINATOR: "e_cr",
+          LayerKind.GATEWAY: "e_gr", LayerKind.ONU: "e_u",
+          LayerKind.OLT: "e_l"}
+REF_SCALED = (LayerKind.RELAY, LayerKind.COORDINATOR, LayerKind.ONU,
+              LayerKind.OLT)
+
+
+def ref_link_energy(instance, link, energy):
+    medium, distance_m = instance.links[link]
+    tx = getattr(energy, REF_TX[instance.layer(link[0])])
+    if medium is Medium.WIRELESS:
+        tx += energy.epsilon * distance_m ** 2
+    return tx, getattr(energy, REF_RX[instance.layer(link[1])])
+
+
+def ref_weight(instance, node, energy):
+    return (energy.scaling_a if instance.layer(node) in REF_SCALED
+            else 1.0)
+
+
+def ref_link_cost(instance, link, energy):
+    tx, rx = ref_link_energy(instance, link, energy)
+    return (ref_weight(instance, link[0], energy) * tx
+            + ref_weight(instance, link[1], energy) * rx)
+
+
+def ref_traffic_power(flows, instance, energy):
+    power = {k: 0.0 for k in LayerKind}
+    upt, pt = flows.link_rates()
+    for pair in set(upt) | set(pt):
+        tx, rx = ref_link_energy(instance, pair, energy)
+        rate = upt.get(pair, 0.0) + pt.get(pair, 0.0)
+        power[instance.layer(pair[0])] += rate * tx
+        power[instance.layer(pair[1])] += rate * rx
+    return power
+
+
+@pytest.fixture(scope="module")
+def paper_seed7():
+    """A paper-scale instance of its own, so that the tables built for
+    every energy below stay off the shared fixture."""
+    return pp.build_instance(topology_for_scale("paper", 7))
+
+
+@pytest.mark.parametrize("energy", ENERGIES)
+class TestEnergyColumnsBitExact:
+    """Every float read from the per-node columns equals the per-link
+    formula exactly, zero energies and large amplifier terms included."""
+
+    def test_every_link(self, paper_seed7, energy):
+        inst = paper_seed7
+        params = dataclasses.replace(scenario1(), energy=energy)
+        for link in inst.links:
+            cost = ref_link_cost(inst, link, energy)
+            assert pp.power.link_energy(inst, link, energy) \
+                == ref_link_energy(inst, link, energy)
+            assert pp.link_cost_per_bit(inst, link, params) == cost
+            # The one-link path is the only one-hop path, so its min-hop
+            # cost is the route table's cost of that link.
+            assert min_hop_path(inst, params, *link) == (1, cost, link)
+
+    def test_eepiv_cell_traffic(self, paper_seed7, energy):
+        inst = paper_seed7
+        params = dataclasses.replace(scenario1(), energy=energy)
+        res = pp.run_eepiv(inst, params)
+        ref = ref_traffic_power(res.flows, inst, energy)
+        for power in (pp.traffic_power(res.flows, inst, params),
+                      res.report.traffic_w_raw):
+            assert list(power) == list(LayerKind)
+            for layer in LayerKind:
+                assert power[layer] == ref[layer], layer
+
+
+BAD_ROLES = pytest.mark.parametrize("src_layer, dst_layer, text", [
+    pytest.param(LayerKind.OLT, LayerKind.ONU,
+                 "layer LayerKind.OLT has no transmit role",
+                 id="olt-transmits"),
+    pytest.param(LayerKind.RELAY, LayerKind.OBJECT,
+                 "layer LayerKind.OBJECT has no receive role",
+                 id="object-receives"),
+    pytest.param(LayerKind.OLT, LayerKind.OBJECT,
+                 "layer LayerKind.OLT has no transmit role", id="both")])
+
+
+class TestEnergyRoleErrors:
+    """A link without a transmitting source or a receiving destination is
+    refused by every reader of the columns, with the same text."""
+
+    @staticmethod
+    def bad_link(src_layer, dst_layer):
+        inst = chain_instance()
+        src = inst.nodes_by_layer[src_layer][0].id
+        dst = inst.nodes_by_layer[dst_layer][0].id
+        inst.links[src, dst] = (Medium.WIRELESS, 1.0)
+        return inst, (src, dst)
+
+    @BAD_ROLES
+    def test_link_cost(self, src_layer, dst_layer, text):
+        with pytest.raises(pp.ModelError, match=f"^{text}$"):
+            link_cost(src_layer, dst_layer, scenario1())
+        inst, link = self.bad_link(src_layer, dst_layer)
+        with pytest.raises(pp.ModelError, match=f"^{text}$"):
+            pp.link_cost_per_bit(inst, link, scenario1())
+
+    @BAD_ROLES
+    def test_route_table(self, src_layer, dst_layer, text):
+        inst, _ = self.bad_link(src_layer, dst_layer)
+        with pytest.raises(pp.ModelError, match=f"^{text}$"):
+            route_table(inst, scenario1())
+        assert inst.route_tables == {}
+
+    @BAD_ROLES
+    def test_traffic_power(self, src_layer, dst_layer, text):
+        inst, link = self.bad_link(src_layer, dst_layer)
+        with pytest.raises(pp.ModelError, match=f"^{text}$"):
+            pp.traffic_power(link_flows(upt={link: 1.0}), inst, scenario1())
+        with pytest.raises(pp.ModelError, match=f"^{text}$"):
+            pp.traffic_power(link_flows(pt={link: 1.0}), inst, scenario1())
+
+    @pytest.mark.parametrize("pair", [(99, 100), "object-to-olt"],
+                             ids=["unknown-nodes", "object-to-olt"])
+    def test_flow_on_missing_link(self, pair):
+        inst = chain_instance()
+        if pair == "object-to-olt":
+            pair = (inst.objects()[0], inst.olt_id)
+        assert pair not in inst.links
+        with pytest.raises(pp.ModelError, match="^" + re.escape(
+                f"flow on non-existent link {pair}") + "$"):
+            pp.traffic_power(link_flows(upt={pair: 1.0}), inst, scenario1())
 
 
 class TestLinkRates:
