@@ -13,12 +13,12 @@ from .power import (EnergyParams, ModelError, ModelParams, PowerReport,
 from .solution import EngineResult, FlowAssignment, PlacementSolution
 from .topology import (ConfigError, LayerKind, Medium, NetworkInstance, Node,
                        RelayLayout, RequestAssignment, TopologyConfig,
-                       build_instance, candidate_nodes, minimal_chain_config)
+                       build_instance, minimal_chain_config)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "build_instance", "candidate_nodes", "minimal_chain_config",
+    "build_instance", "minimal_chain_config",
     "TopologyConfig", "NetworkInstance", "Node", "LayerKind",
     "Medium", "RequestAssignment", "RelayLayout", "ConfigError",
     "EnergyParams", "ProcessingParams", "WorkloadTable", "ModelParams",

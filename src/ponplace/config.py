@@ -12,7 +12,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .power import ModelParams
-from .topology import ConfigError, TopologyConfig
+from .topology import ConfigError, RelayLayout, TopologyConfig
 
 _MODEL_KEYS = {"scenario", "reduction_pct", "demand_bps", "capacity_enforced"}
 
@@ -80,6 +80,12 @@ def load_config(path: str | Path) -> tuple[TopologyConfig, ModelParams]:
         raise ConfigError(f"{path}: unknown sections {sorted(unknown)}")
     topology_data = _section(path, data, "topology", TopologyConfig,
                              {f.name for f in fields(TopologyConfig)})
+    if (topology_data.get("relay_layout") is RelayLayout.LINE
+            and "relay_spacing_m" in topology_data):
+        raise ConfigError(f"{path}: topology.relay_spacing_m is "
+                          f"{json.dumps(topology_data['relay_spacing_m'])}; "
+                          f"it must be left out, as the line relay layout "
+                          f"does not read it")
     model_data = _section(path, data, "model", ModelParams, _MODEL_KEYS)
     if model_data.get("demand_bps", 1.0) <= 0:
         raise ConfigError(f"{path}: model.demand_bps is "

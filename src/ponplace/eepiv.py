@@ -15,16 +15,14 @@ from .milp import require_known_vm_types
 from .power import ModelParams
 from .routing import min_hop_path
 from .solution import EngineResult, serve
-from .topology import (LayerKind, NetworkInstance, OLT_NETWORK_ID,
-                       candidate_nodes)
+from .topology import LayerKind, NetworkInstance, OLT_NETWORK_ID
 
 
 def _candidate_order(instance: NetworkInstance) -> list[int]:
     layer_rank = {LayerKind.RELAY: 0, LayerKind.COORDINATOR: 1,
                   LayerKind.GATEWAY: 2, LayerKind.ONU: 3}
-    cand = candidate_nodes(instance)
     olt = instance.olt_id
-    below = sorted((c for c in cand if c != olt),
+    below = sorted((c for c in instance.candidates if c != olt),
                    key=lambda c: (instance.network_of(c),
                                   layer_rank[instance.layer(c)], c))
     return below + [olt]

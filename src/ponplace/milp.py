@@ -33,7 +33,7 @@ import numpy as np
 from .power import ModelParams, link_cost_per_bit, total_objective
 from .routing import cheapest_path, cheapest_paths
 from .solution import EngineResult, FlowAssignment, PlacementSolution, serve
-from .topology import LayerKind, NetworkInstance, candidate_nodes
+from .topology import LayerKind, NetworkInstance
 
 #: Big-M constants used in the emitted model (not by the native engines).
 BETA_BPS = 1e7
@@ -245,13 +245,13 @@ def build_model(instance: NetworkInstance, params: ModelParams) -> MilpModel:
     commodities of its object (unprocessed) or network (processed).
     """
     require_known_vm_types(instance, params)
-    cand = candidate_nodes(instance)
+    cand = instance.candidates
     olt = instance.olt_id
     cn = set(cand)
     vm_types = params.workloads.vm_types
     f = params.remaining_fraction
     objects = instance.objects()
-    visible = {o: instance.visible_candidates(o) for o in objects}
+    visible = {o: instance.serving[instance.network_of(o)] for o in objects}
 
     kinds: dict[str, str] = {}
     objective: dict[str, float] = {}
@@ -292,14 +292,10 @@ def build_model(instance: NetworkInstance, params: ModelParams) -> MilpModel:
             var(f"Iv_{c}_{v}", "binary")
 
     # Node orders and link sets, each shared by every commodity on it: per
-    # object its network without the other objects, per network its
+    # object itself and the candidates that may serve it, per network those
     # candidates.
-    net_nodes = {net: set(instance.network_node_ids(net))
-                 for net in instance.networks}
-    core = {net: nodes.difference(objects) for net, nodes in net_nodes.items()}
-    graph_o = {o: flow_graph(core[instance.network_of(o)] | {o})
-               for o in objects}
-    graph_p = {net: flow_graph((net_nodes[net] & cn) | {olt})
+    graph_o = {o: flow_graph({o, *visible[o]}) for o in objects}
+    graph_p = {net: flow_graph(set(instance.serving[net]))
                for net in instance.networks}
 
     # Aggregate per-link traffic variables carry the whole traffic objective.
@@ -841,7 +837,7 @@ def validate_solution(solution: PlacementSolution, flows: FlowAssignment,
               flows.pt_cl.get(c, 0.0) - f * inflow.get(c, 0.0))
 
     # Per-commodity processed conservation, restricted to candidate nodes.
-    cn = set(candidate_nodes(instance))
+    cn = set(instance.candidates)
     for c, com in flows.pt_commodity.items():
         conserve("flow_conservation_processed", f"fc18_{c}_", com, c, olt,
                  flows.pt_cl.get(c, 0.0), cn)
@@ -923,7 +919,7 @@ def solve_exact(instance: NetworkInstance,
     olt = instance.olt_id
     demand = params.demand_bps
     f = params.remaining_fraction
-    cand = candidate_nodes(instance)
+    cand = instance.candidates
     objects = instance.objects()
 
     # Cheapest processed cost per candidate (no link enters an object, so
@@ -934,7 +930,7 @@ def solve_exact(instance: NetworkInstance,
     # Columns: x per visible, routable (object, candidate) pair, then y per
     # (candidate, type), candidate-major.
     pairs = [(o, c) for o in objects
-             for c in instance.visible_candidates(o) if c in up[o]]
+             for c in instance.serving[instance.network_of(o)] if c in up[o]]
     opens = [(c, v) for c in cand for v in range(vm_types)]
     work = [params.workloads.workload(v, instance.layer(c)) for c, v in opens]
     cost = [demand * up[o][c][0] + f * demand * proc[c] for o, c in pairs]

@@ -36,6 +36,11 @@ class EnergyParams:
     scaling_a: float = 5.0    # networking scaling factor
 
 
+#: The energies every scenario uses.  One shared object, so the per-instance
+#: caches keyed by it (route tables, energy columns) match it by identity.
+DEFAULT_ENERGY = EnergyParams()
+
+
 #: CPU counts per candidate layer.
 DEFAULT_CPU_COUNTS = {
     LayerKind.RELAY: 1,
@@ -151,7 +156,7 @@ class ModelParams:
             cpu_power = dict(processing.cpu_power_w)
             cpu_power[LayerKind.OLT] = INEFFICIENT_OLT_CPU_POWER_W
             processing = replace(processing, cpu_power_w=cpu_power)
-        return cls(energy=EnergyParams(), processing=processing,
+        return cls(energy=DEFAULT_ENERGY, processing=processing,
                    workloads=workloads, reduction_pct=reduction_pct,
                    scenario=scenario, **overrides)
 

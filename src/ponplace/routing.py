@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .power import EnergyParams, ModelParams, energy_columns
-from .topology import LayerKind, NetworkInstance
+from .topology import NetworkInstance
 
 #: Largest (sources x targets x targets) temporary one label computation
 #: allocates; source rows are labelled in blocks that stay below it.
@@ -67,14 +67,14 @@ class _Order:
 
 
 class _Network:
-    """Route labels from every node of one network (OLT included) to its
-    candidate nodes.  Each order is computed on first use."""
+    """Route labels from every node of network ``net`` (OLT included) to
+    the candidates serving it.  Each order is computed on first use."""
 
-    def __init__(self, instance: NetworkInstance, nodes: list[int],
+    def __init__(self, instance: NetworkInstance, net: int,
                  cost_of: dict[tuple[int, int], float]):
+        nodes = instance.network_node_ids(net)
         self.sources = np.array(nodes)
-        self.targets = np.array([n for n in nodes
-                                 if instance.layer(n) is not LayerKind.OBJECT])
+        self.targets = np.array(instance.serving[net])
         self.row = {n: i for i, n in enumerate(nodes)}
         self.col = {n: j for j, n in enumerate(self.targets.tolist())}
         rows, cols, costs = zip(*[(self.row[src], self.col[dst], cost)
@@ -162,7 +162,7 @@ class RouteTable:
         cost_of = {link: link_cost(link) for link in instance.links}
         self._network: dict[int, _Network] = {}
         for net in instance.networks:
-            table = _Network(instance, instance.network_node_ids(net), cost_of)
+            table = _Network(instance, net, cost_of)
             for n in table.sources.tolist():
                 self._network.setdefault(n, table)
         self._paths: dict[tuple[str, int], dict[int, tuple[int, ...]]] = {}

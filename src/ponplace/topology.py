@@ -29,16 +29,6 @@ class LayerKind(enum.Enum):
     OLT = "olt"
 
 
-#: Layers eligible to host a cloudlet (everything except the object layer).
-CANDIDATE_LAYERS = (
-    LayerKind.RELAY,
-    LayerKind.COORDINATOR,
-    LayerKind.GATEWAY,
-    LayerKind.ONU,
-    LayerKind.OLT,
-)
-
-
 class Medium(enum.Enum):
     WIRELESS = "wireless"
     ETHERNET = "ethernet"
@@ -104,6 +94,7 @@ class TopologyConfig:
                 ("area_side_m", self.area_side_m <= 0, "> 0"),
                 ("gateway_coordinator_distance_m",
                  self.gateway_coordinator_distance_m < 0, ">= 0"),
+                ("relay_spacing_m", self.relay_spacing_m < 0, ">= 0"),
                 ("relays_per_network", self.objects_per_network > 0 and k == 0,
                  "at least 1 for objects to reach the OLT"),
                 ("relays_per_network", grid and n * n != k,
@@ -121,7 +112,12 @@ class NetworkInstance:
     """Node/link graph plus per-object VM requests, read-only once built
     and safe to share across concurrent solver runs.  ``links`` maps each
     directed link ``(src, dst)``, in build order, to its ``(medium,
-    distance_m)``; only wireless links pay the amplifier term."""
+    distance_m)``; only wireless links pay the amplifier term.
+
+    ``candidates`` are the nodes that may host a cloudlet, every node but
+    the objects, ascending.  A cloudlet below the OLT serves only its own
+    IoT network: ``serving[net]`` holds the candidates of ``net`` plus the
+    OLT, ascending."""
 
     def __init__(self, config: TopologyConfig, nodes: list[Node],
                  links: dict[tuple[int, int], tuple[Medium, float]],
@@ -136,6 +132,12 @@ class NetworkInstance:
         self.nodes_by_layer: dict[LayerKind, list[Node]] = {k: [] for k in LayerKind}
         for n in nodes:
             self.nodes_by_layer[n.layer].append(n)
+        self.candidates = tuple(n.id for n in self.nodes
+                                if n.layer is not LayerKind.OBJECT)
+        self.serving = {net: tuple(c for c in self.candidates
+                                   if self.network_of(c)
+                                   in (net, OLT_NETWORK_ID))
+                        for net in self.networks}
         #: ``EnergyParams`` -> route table, filled by ``ponplace.routing``.
         self.route_tables: dict = {}
         #: ``EnergyParams`` -> per-node energies, filled by ``ponplace.power``.
@@ -158,12 +160,6 @@ class NetworkInstance:
         """All nodes of one IoT network plus the OLT."""
         return [n.id for n in self.nodes
                 if n.network_id in (network_id, OLT_NETWORK_ID)]
-
-    def visible_candidates(self, object_id: int) -> list[int]:
-        """Candidates that may serve this object: own network plus the OLT."""
-        net = self.network_of(object_id)
-        return [c for c in candidate_nodes(self)
-                if self.network_of(c) in (net, OLT_NETWORK_ID)]
 
 
 def _relay_positions(config: TopologyConfig) -> list[tuple[float, float]]:
@@ -241,12 +237,6 @@ def build_instance(config: TopologyConfig) -> NetworkInstance:
 
 def _dist(a: Node, b: Node) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
-
-
-def candidate_nodes(instance: NetworkInstance) -> list[int]:
-    """All non-object node ids, ascending (CN = relays, coordinators,
-    gateways, ONUs, OLT)."""
-    return [n.id for n in instance.nodes if n.layer is not LayerKind.OBJECT]
 
 
 def minimal_chain_config(**overrides) -> TopologyConfig:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from ponplace.milp import BETA_BPS, GAMMA, require_known_vm_types
 from ponplace.power import ModelParams, link_cost_per_bit
-from ponplace.topology import NetworkInstance, OLT_NETWORK_ID, candidate_nodes
+from ponplace.topology import NetworkInstance, OLT_NETWORK_ID
 
 
 @dataclass(frozen=True)
@@ -68,13 +68,13 @@ def build_model(instance: NetworkInstance, params: ModelParams) -> MilpModel:
     candidate-only subgraph and the OLT-hosted cloudlet generates none.
     """
     require_known_vm_types(instance, params)
-    cand = candidate_nodes(instance)
+    cand = instance.candidates
     olt = instance.olt_id
     cn = set(cand)
     vm_types = params.workloads.vm_types
     f = params.remaining_fraction
     objects = instance.objects()
-    visible = {o: instance.visible_candidates(o) for o in objects}
+    visible = {o: instance.serving[instance.network_of(o)] for o in objects}
 
     variables: dict[str, Variable] = {}
     objective: dict[str, float] = {}

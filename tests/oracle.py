@@ -13,7 +13,7 @@ import random
 import networkx as nx
 
 import ponplace as pp
-from ponplace.topology import RelayLayout
+from ponplace.topology import LayerKind, OLT_NETWORK_ID, RelayLayout
 
 CORPUS_REDUCTIONS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -36,6 +36,18 @@ def corpus_case(rng: random.Random):
     return pp.build_instance(cfg), params
 
 
+def _candidates(instance) -> list[int]:
+    """Every node but the objects, ascending."""
+    return [n.id for n in instance.nodes if n.layer is not LayerKind.OBJECT]
+
+
+def _visible(instance, cand, o) -> list[int]:
+    """The candidates that may serve object ``o``: its own network's and
+    the OLT, which belongs to every network."""
+    return [c for c in cand if instance.network_of(c)
+            in (instance.network_of(o), OLT_NETWORK_ID)]
+
+
 def brute_force_optimum(instance, params) -> float:
     """Exhaustive optimum: per VM type, try every candidate subset and give
     each object its cheapest open facility (single instance, cheapest
@@ -45,7 +57,7 @@ def brute_force_optimum(instance, params) -> float:
     for src, dst in instance.links:
         g.add_edge(src, dst,
                    w=pp.link_cost_per_bit(instance, (src, dst), params))
-    cand = pp.candidate_nodes(instance)
+    cand = _candidates(instance)
     olt = instance.olt_id
     sub = g.subgraph(cand)
     proc = {c: (0.0 if c == olt else
@@ -61,7 +73,7 @@ def brute_force_optimum(instance, params) -> float:
         assign_cost = {}
         for o in objs:
             lengths = nx.single_source_dijkstra_path_length(g, o, weight="w")
-            for c in instance.visible_candidates(o):
+            for c in _visible(instance, cand, o):
                 if c in lengths:
                     assign_cost[(o, c)] = (demand * lengths[c]
                                            + f * demand * proc[c])
@@ -100,7 +112,7 @@ def joint_brute_force_optimum(instance, params) -> float:
     for src, dst in instance.links:
         g.add_edge(src, dst,
                    w=pp.link_cost_per_bit(instance, (src, dst), params))
-    cand = pp.candidate_nodes(instance)
+    cand = _candidates(instance)
     olt = instance.olt_id
     sub = g.subgraph(cand)
     proc = {c: (0.0 if c == olt else
@@ -112,7 +124,7 @@ def joint_brute_force_optimum(instance, params) -> float:
     assign_cost = {}
     for o in instance.objects():
         lengths = nx.single_source_dijkstra_path_length(g, o, weight="w")
-        for c in instance.visible_candidates(o):
+        for c in _visible(instance, cand, o):
             if c in lengths:
                 assign_cost[(o, c)] = (demand * lengths[c]
                                        + f * demand * proc[c])

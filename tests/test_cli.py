@@ -319,12 +319,19 @@ def test_config_unknown_model_key_exits_1(tmp_path, capsys):
      "topology.vm_types is 5; scenario 1's workload table defines 4 VM "
      "types"),
     ('{"topology": {"gateway_coordinator_distance_m": -100.0}}',
-     "topology.gateway_coordinator_distance_m is -100.0; it must be >= 0")],
+     "topology.gateway_coordinator_distance_m is -100.0; it must be >= 0"),
+    ('{"topology": {"relay_spacing_m": -6.0}}',
+     "topology.relay_spacing_m is -6.0; it must be >= 0"),
+    ('{"topology": {"relay_layout": "line", "relays_per_network": 3, '
+     '"relay_spacing_m": -50}}',
+     "topology.relay_spacing_m is -50; it must be left out, as the line "
+     "relay layout does not read it")],
     ids=["int-as-text", "fractional-int", "number-as-text", "not-an-object",
          "section-not-an-object", "bool-as-text", "negative-demand",
          "short-pair", "syntax", "unknown-enum", "unknown-scenario",
          "unknown-section", "no-networks", "non-square-grid",
-         "grid-too-wide", "vm-types-over-table", "negative-gateway-distance"])
+         "grid-too-wide", "vm-types-over-table", "negative-gateway-distance",
+         "negative-relay-spacing", "line-layout-spacing"])
 def test_bad_config_names_file_and_key(tmp_path, capsys, text, named):
     path = tmp_path / "cfg.json"
     path.write_text(text)

@@ -161,7 +161,7 @@ def test_objects_go_to_their_cheapest_open_candidate(monkeypatch):
         up = cheapest_paths(inst, params, o)
         cost = {c: d * up[c][0] + f * d * (
                     0.0 if c == olt else cheapest_path(inst, params, c, olt)[0])
-                for c in inst.visible_candidates(o) if c in up}
+                for c in inst.serving[inst.network_of(o)] if c in up}
         assert sol.assignment[o] == [(min(cost, key=lambda c: (cost[c], c)), d)]
 
 

@@ -108,7 +108,7 @@ class TestCommodityGraphs:
 
         counts = model.counts()
         assert counts["vars_xuf"] == sum(
-            len(inst.visible_candidates(o)) * spanned(o) for o in objects)
+            len(inst.serving[inst.network_of(o)]) * spanned(o) for o in objects)
         assert counts["vars_xuf"] == 8832
         assert len(model.variables) == 10238
         assert counts["constraints"] == 4462
@@ -382,7 +382,7 @@ class TestValidation:
         params = ModelParams.for_scenario(1, 0.5)
         inst = reduced_instance
         o = next(o for o in inst.objects() if inst.network_of(o) == 0)
-        foreign = next(c for c in pp.candidate_nodes(inst)
+        foreign = next(c for c in inst.candidates
                        if inst.network_of(c) == 1)
         v = inst.vm_request[o]
         sol = pp.PlacementSolution(

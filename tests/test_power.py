@@ -6,7 +6,8 @@ import pytest
 
 import ponplace as pp
 from ponplace.experiments import topology_for_scale
-from ponplace.power import EnergyParams, ModelParams, WorkloadTable
+from ponplace.power import (DEFAULT_CPU_COUNTS, EnergyParams, ModelParams,
+                            WorkloadTable)
 from ponplace.routing import min_hop_path, route_table
 from ponplace.solution import FlowAssignment, PlacementSolution
 from ponplace.topology import LayerKind, Medium, Node
@@ -339,7 +340,7 @@ class TestWorkloadTable:
         for v in range(4):
             costs = {layer: params.workloads.workload(v, layer)
                      * params.processing.max_power(layer)
-                     for layer in pp.topology.CANDIDATE_LAYERS}
+                     for layer in DEFAULT_CPU_COUNTS}
             ref = costs[LayerKind.RELAY]
             for layer, cost in costs.items():
                 assert cost == pytest.approx(ref, rel=1e-12)

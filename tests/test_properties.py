@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import ponplace as pp
 from ponplace.eepiv import run_eepiv
 from ponplace.milp import solve_exact, validate_solution
-from ponplace.power import ModelParams
+from ponplace.power import DEFAULT_CPU_COUNTS, ModelParams
 from ponplace.topology import LayerKind, RelayLayout
 
 from oracle import corpus_case
@@ -92,7 +92,7 @@ def test_instance_power_is_location_invariant(seed, scenario, vm_type):
     params = ModelParams.for_scenario(scenario, 0.5)
     costs = {layer: params.workloads.workload(vm_type, layer)
              * params.processing.max_power(layer)
-             for layer in pp.topology.CANDIDATE_LAYERS}
+             for layer in DEFAULT_CPU_COUNTS}
     assert len({round(c, 12) for c in costs.values()}) == 1
 
 

@@ -21,7 +21,7 @@ from ponplace.power import (EnergyParams, ModelParams, ProcessingParams,
 from ponplace.routing import (Unreachable, cheapest_path, cheapest_paths,
                               min_hop_path)
 from ponplace.topology import (LayerKind, Medium, NetworkInstance, Node,
-                               RelayLayout, candidate_nodes)
+                               RelayLayout)
 
 
 def _dijkstra(instance, params, src, allowed, key):
@@ -75,10 +75,10 @@ def assert_matches_reference(instance, params):
         cheap, hop = ref_cheapest(instance, params, o), \
             ref_min_hop(instance, params, o)
         assert cheapest_paths(instance, params, o) == cheap
-        for c in instance.visible_candidates(o):
+        for c in instance.serving[instance.network_of(o)]:
             assert cheapest_path(instance, params, o, c) == cheap[c]
             assert min_hop_path(instance, params, o, c) == hop[c]
-    cn = set(candidate_nodes(instance))
+    cn = set(instance.candidates)
     for c in cn:
         assert cheapest_path(instance, params, c, olt) == \
             ref_cheapest(instance, params, c, allowed=cn)[olt]
@@ -135,7 +135,7 @@ def test_zero_cost_links_match_reference(energy, monkeypatch):
     solution, _, report = milp.solve_exact(instance, params)
 
     # The exact engine on the reference routes gives the same answer.
-    cn = set(candidate_nodes(instance))
+    cn = set(instance.candidates)
     monkeypatch.setattr(milp, "cheapest_paths", ref_cheapest)
     monkeypatch.setattr(milp, "cheapest_path", lambda inst, p, src, dst:
                         ref_cheapest(inst, p, src, allowed=cn)[dst])

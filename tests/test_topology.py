@@ -4,8 +4,8 @@ import math
 import pytest
 
 import ponplace as pp
-from ponplace.topology import (ConfigError, LayerKind, Medium, OLT_NETWORK_ID,
-                               RelayLayout, RequestAssignment)
+from ponplace.topology import (ConfigError, LayerKind, Medium, Node,
+                               OLT_NETWORK_ID, RelayLayout, RequestAssignment)
 
 ALLOWED_LAYER_PAIRS = {
     (LayerKind.OBJECT, LayerKind.RELAY),
@@ -27,7 +27,7 @@ def test_default_instance_node_count(paper_instance):
 
 
 def test_default_candidate_count(paper_instance):
-    assert len(pp.candidate_nodes(paper_instance)) == 57
+    assert len(paper_instance.candidates) == 57
 
 
 def test_relay_grid_coordinates(paper_instance):
@@ -56,7 +56,7 @@ def test_minimal_chain_unique_path(minimal_chain):
 
 
 def test_minimal_chain_candidates(minimal_chain):
-    assert len(pp.candidate_nodes(minimal_chain)) == 5
+    assert len(minimal_chain.candidates) == 5
 
 
 def test_round_robin_request_balance(paper_instance):
@@ -118,9 +118,9 @@ def test_zero_relays_excludes_layer():
     cfg = pp.TopologyConfig(networks=1, objects_per_network=0,
                             relays_per_network=0)
     inst = pp.build_instance(cfg)
-    layers = {inst.layer(c) for c in pp.candidate_nodes(inst)}
+    layers = {inst.layer(c) for c in inst.candidates}
     assert LayerKind.RELAY not in layers
-    assert len(pp.candidate_nodes(inst)) == 4
+    assert len(inst.candidates) == 4
 
 
 def test_config_errors():
@@ -133,6 +133,21 @@ def test_config_errors():
                                             relays_per_network=0))
     with pytest.raises(ConfigError):
         pp.build_instance(pp.TopologyConfig(vm_types=0))
+
+
+def test_candidates_and_serving_follow_ids_not_layers():
+    # Two networks interleaved by id, layers out of order, the OLT first.
+    spec = [(LayerKind.OLT, OLT_NETWORK_ID), (LayerKind.ONU, 1),
+            (LayerKind.RELAY, 0), (LayerKind.OBJECT, 1),
+            (LayerKind.GATEWAY, 0), (LayerKind.OBJECT, 0),
+            (LayerKind.RELAY, 1), (LayerKind.COORDINATOR, 1),
+            (LayerKind.ONU, 0), (LayerKind.COORDINATOR, 0),
+            (LayerKind.GATEWAY, 1), (LayerKind.RELAY, 0)]
+    nodes = [Node(i, layer, net, 0.0, 0.0)
+             for i, (layer, net) in enumerate(spec)]
+    inst = pp.NetworkInstance(pp.TopologyConfig(), nodes, {}, {3: 0, 5: 0})
+    assert inst.candidates == (0, 1, 2, 4, 6, 7, 8, 9, 10, 11)
+    assert inst.serving == {0: (0, 2, 4, 8, 9, 11), 1: (0, 1, 6, 7, 10)}
 
 
 def test_line_layout_accepts_any_count():
