@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .power import ModelParams, PowerReport, total_objective
-from .topology import LayerKind, NetworkInstance
+from .topology import NetworkInstance
 
 
 @dataclass(frozen=True)
@@ -29,9 +29,6 @@ class PlacementSolution:
 
     def cloudlet_open(self) -> set[int]:
         return {c for c, _ in self.placed}
-
-    def placed_layers(self, instance: NetworkInstance) -> list[LayerKind]:
-        return [instance.layer(c) for c, _ in self.placed]
 
 
 @dataclass

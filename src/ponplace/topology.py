@@ -156,11 +156,6 @@ class NetworkInstance:
     def objects(self) -> list[int]:
         return [n.id for n in self.nodes_by_layer[LayerKind.OBJECT]]
 
-    def network_node_ids(self, network_id: int) -> list[int]:
-        """All nodes of one IoT network plus the OLT."""
-        return [n.id for n in self.nodes
-                if n.network_id in (network_id, OLT_NETWORK_ID)]
-
 
 def _relay_positions(config: TopologyConfig) -> list[tuple[float, float]]:
     k = config.relays_per_network

@@ -134,7 +134,9 @@ def build_model(instance: NetworkInstance, params: ModelParams) -> MilpModel:
     # candidates.
     net_ids = sorted({n.network_id for n in instance.nodes
                       if n.network_id != OLT_NETWORK_ID})
-    net_nodes = {net: set(instance.network_node_ids(net)) for net in net_ids}
+    net_nodes = {net: {n.id for n in instance.nodes
+                        if n.network_id in (net, OLT_NETWORK_ID)}
+                 for net in net_ids}
     core = {net: net_nodes[net].difference(objects) for net in net_ids}
     graph_o = {o: flow_graph(core[instance.network_of(o)] | {o})
                for o in objects}

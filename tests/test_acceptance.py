@@ -89,7 +89,7 @@ def test_criterion_3a_high_reduction_pushes_to_relays(reduced_instance,
     for (scenario, r), (sol, _) in reduced_exact_cells.items():
         if r < 0.5:
             continue
-        layers = set(sol.placed_layers(reduced_instance))
+        layers = {reduced_instance.layer(c) for c, _ in sol.placed}
         if layers != {LayerKind.RELAY}:
             bad.append((scenario, r, sorted(k.value for k in layers)))
     report("3a relay-placement-at-high-reduction", not bad,
@@ -99,10 +99,10 @@ def test_criterion_3a_high_reduction_pushes_to_relays(reduced_instance,
 
 def test_criterion_3b_low_reduction_olt_consolidation(reduced_instance,
                                                       reduced_exact_cells):
-    s2_layers = reduced_exact_cells[(2, 0.1)][0].placed_layers(
-        reduced_instance)
-    s3_layers = reduced_exact_cells[(3, 0.1)][0].placed_layers(
-        reduced_instance)
+    s2_layers = [reduced_instance.layer(c)
+                 for c, _ in reduced_exact_cells[(2, 0.1)][0].placed]
+    s3_layers = [reduced_instance.layer(c)
+                 for c, _ in reduced_exact_cells[(3, 0.1)][0].placed]
     s2_olt = sum(1 for k in s2_layers if k is LayerKind.OLT)
     s3_olt = sum(1 for k in s3_layers if k is LayerKind.OLT)
     ok = s2_olt >= 1 and s3_olt == 0

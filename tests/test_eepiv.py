@@ -18,7 +18,8 @@ def test_full_scale_placement_shape(paper_instance, scenario, cloudlets):
     assert res.served_count == 100
     assert len(res.solution.cloudlet_open()) == cloudlets
     assert len(res.solution.placed) == 8  # 2 networks x 4 types
-    assert set(res.solution.placed_layers(paper_instance)) == {LayerKind.RELAY}
+    assert {paper_instance.layer(c) for c, _ in res.solution.placed} == {
+        LayerKind.RELAY}
 
 
 def test_full_scale_flows_validate(paper_instance):
@@ -58,8 +59,8 @@ def test_no_capacity_places_past_the_cap(reduced_instance):
     1.6 in scenario 2."""
     params = ModelParams.for_scenario(2, 0.5, capacity_enforced=False)
     res = run_eepiv(reduced_instance, params)
-    first = [min(n for n in reduced_instance.network_node_ids(net)
-                 if reduced_instance.layer(n) is LayerKind.RELAY)
+    first = [min(n.id for n in reduced_instance.nodes_by_layer[LayerKind.RELAY]
+                 if n.network_id == net)
              for net in reduced_instance.networks]
     assert res.solution.placed == {(c, v) for c in first for v in range(4)}
     assert res.solution.workload == {c: pytest.approx(1.6) for c in first}

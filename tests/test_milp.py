@@ -14,6 +14,7 @@ from ponplace.milp import (BETA_BPS, MilpModel, build_model, emit_lp,
                            solution_from_values, solve_exact,
                            validate_solution, write_solution_values)
 from ponplace.power import ModelParams
+from ponplace.topology import OLT_NETWORK_ID
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +102,8 @@ class TestCommodityGraphs:
 
         def spanned(o):
             """Links of ``o``'s network that do not leave another object."""
-            nodes = set(inst.network_node_ids(inst.network_of(o)))
+            nodes = {n.id for n in inst.nodes if n.network_id in (
+                inst.network_of(o), OLT_NETWORK_ID)}
             return sum(1 for src, dst in inst.links
                        if src in nodes and dst in nodes
                        and (src == o or src not in objects))

@@ -1,9 +1,9 @@
-"""The route table against the per-source Dijkstra search it replaced.
+"""The route table against a Dijkstra search that settles every node.
 
-``_dijkstra`` below is the previous implementation of ``ponplace.routing``,
-kept unchanged as the reference: every route the table answers must equal
-it in hops, cost and path, including its tie-break order (hops, then
-cost, then the smallest node-id path).
+``_dijkstra`` below is the reference: every route the table answers, from
+searches it settles only as far as asked, must equal it in hops, cost and
+path, including its tie-break order (hops, then cost, then the smallest
+node-id path).
 """
 
 import heapq
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ponplace as pp
-from ponplace import milp, routing
+from ponplace import milp
 from ponplace.experiments import topology_for_scale
 from ponplace.power import (EnergyParams, ModelParams, ProcessingParams,
                             WorkloadTable, link_cost_per_bit)
@@ -146,9 +146,7 @@ def test_zero_cost_links_match_reference(energy, monkeypatch):
     assert solution.assignment == ref_solution.assignment
 
 
-def test_labels_in_blocks_match_reference(monkeypatch):
-    # Blocks of three source rows on a 30-relay mesh.
-    monkeypatch.setattr(routing, "BLOCK_ELEMENTS", 3 * 34 ** 2)
+def test_thirty_relay_line_matches_reference():
     config = pp.TopologyConfig(networks=2, objects_per_network=20,
                                relays_per_network=30,
                                relay_layout=RelayLayout.LINE,
@@ -210,6 +208,45 @@ def test_exact_ties_take_the_smallest_node_id_path():
     # Two hops: relays 3 and 4 tie; relay 3 wins.
     assert min_hop_path(instance, params, 0, 8)[2] == (0, 3, 5, 6, 7, 8)
     assert_matches_reference(instance, params)
+
+
+def other_network_relay(instance, src):
+    return next(n.id for n in instance.nodes_by_layer[LayerKind.RELAY]
+                if n.network_id != instance.network_of(src))
+
+
+@pytest.mark.parametrize("olt_first", [True, False])
+@pytest.mark.parametrize("order", ["cheapest", "min_hop"])
+@pytest.mark.parametrize("make, energy, unreachable", [
+    pytest.param(lambda: pp.build_instance(topology_for_scale("paper", 7)),
+                 EnergyParams(), other_network_relay, id="paper-seed7"),
+    # Every node of the mirrored instance is reachable from its object.
+    pytest.param(mirrored_instance, EnergyParams(epsilon=1e-6, scaling_a=1.0),
+                 lambda instance, src: len(instance.nodes), id="mirrored")])
+def test_partly_settled_searches_match_reference(make, energy, unreachable,
+                                                 order, olt_first):
+    """Routes from object 0 asked in an order that stops its search early
+    (at the first relay of its OLT route when that is asked first), drains
+    it on an unreachable target, then asks it for the rest."""
+    instance = make()
+    params = replace(ModelParams.for_scenario(1, 0.5), energy=energy)
+    if order == "cheapest":
+        ref = ref_cheapest(instance, params, 0)
+        answer = lambda dst: cheapest_path(instance, params, 0, dst)
+    else:
+        ref = ref_min_hop(instance, params, 0)
+        answer = lambda dst: min_hop_path(instance, params, 0, dst)
+    olt = instance.olt_id
+    relay = ref[olt][-1][1]
+    assert instance.layer(relay) is LayerKind.RELAY
+    for dst in (olt, relay) if olt_first else (relay, olt):
+        assert answer(dst) == ref[dst]
+    with pytest.raises(Unreachable):
+        answer(unreachable(instance, 0))
+    for dst in sorted(ref, reverse=True):
+        assert answer(dst) == ref[dst]
+    assert cheapest_paths(instance, params, 0) == \
+        ref_cheapest(instance, params, 0)
 
 
 def test_unreachable_pairs_raise(paper_instance):
