@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import repeat
@@ -171,6 +170,8 @@ def run_sweep(spec: SweepSpec, out_dir: str | Path | None = None,
     args = (order, repeat(spec.scale), repeat(spec.capacity_enforced))
     try:
         if jobs > 1:
+            # Imported here: a one-process sweep needs no multiprocessing.
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 cells = dict(zip(order, pool.map(_run_cell, *args)))
         else:

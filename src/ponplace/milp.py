@@ -28,9 +28,7 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from .power import ModelParams, link_cost_per_bit, total_objective
+from .power import ModelParams, link_energies, total_objective
 from .routing import cheapest_path, cheapest_paths
 from .solution import EngineResult, FlowAssignment, PlacementSolution, serve
 from .topology import LayerKind, NetworkInstance
@@ -300,10 +298,11 @@ def build_model(instance: NetworkInstance, params: ModelParams) -> MilpModel:
 
     # Aggregate per-link traffic variables carry the whole traffic objective.
     lu, lp = {}, {}  # "_src_dst" -> the link's aggregate variables
-    for src, dst in instance.links:
+    energies = link_energies(instance, params.energy).links
+    for (src, dst), (_, _, cost) in energies.items():
         s = f"_{src}_{dst}"
         lu[s] = var("lu" + s)
-        objective[lu[s]] = link_cost_per_bit(instance, (src, dst), params)
+        objective[lu[s]] = cost
         if src in cn and dst in cn:
             lp[s] = var("lp" + s)
             objective[lp[s]] = objective[lu[s]]
@@ -934,9 +933,8 @@ def solve_exact(instance: NetworkInstance,
     opens = [(c, v) for c in cand for v in range(vm_types)]
     work = [params.workloads.workload(v, instance.layer(c)) for c, v in opens]
     cost = [demand * up[o][c][0] + f * demand * proc[c] for o, c in pairs]
-    objective = np.array(cost + [
-        w * params.processing.max_power(instance.layer(c))
-        for w, (c, _) in zip(work, opens)])
+    objective = cost + [w * params.processing.max_power(instance.layer(c))
+                        for w, (c, _) in zip(work, opens)]
     n_x = len(pairs)
     y_col = {cv: n_x + j for j, cv in enumerate(opens)}
 
@@ -948,22 +946,22 @@ def solve_exact(instance: NetworkInstance,
         rows += [j, j, row_of[o]]
         cols += [j, y_col[(c, instance.vm_request[o])], j]
         vals += [1.0, -1.0, 1.0]
-    lower = [-np.inf] * n_x + [1.0] * len(objects)
+    lower = [-math.inf] * n_x + [1.0] * len(objects)
     upper = [0.0] * n_x + [1.0] * len(objects)
     if params.capacity_enforced:
         rows += [len(upper) + j // vm_types for j in range(len(opens))]
         cols += list(y_col.values())
         vals += work
-        lower += [-np.inf] * len(cand)
+        lower += [-math.inf] * len(cand)
         upper += [1.0] * len(cand)
     matrix = csr_array((vals, (rows, cols)), shape=(len(upper), len(objective)))
 
     # HiGHS also stops within an absolute gap of 1e-6.  Costs are scaled so
     # the largest is 1e6, which makes that gap 1e-12 of it: placements a
     # few microwatts apart do occur and must not be taken for ties.
-    scale = 1e6 / (objective.max(initial=0.0) or 1.0)
-    res = milp(objective * scale, integrality=[0] * n_x + [1] * len(opens),
-               bounds=(0.0, 1.0),
+    scale = 1e6 / (max(objective, default=0.0) or 1.0)
+    res = milp([c * scale for c in objective],
+               integrality=[0] * n_x + [1] * len(opens), bounds=(0.0, 1.0),
                constraints=LinearConstraint(matrix, lower, upper),
                options={"mip_rel_gap": 0.0, "node_limit": NODE_LIMIT})
     if res.status == 2:

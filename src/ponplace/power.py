@@ -11,6 +11,7 @@ are not.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .topology import ConfigError, LayerKind, Medium, NetworkInstance
 
@@ -37,7 +38,7 @@ class EnergyParams:
 
 
 #: The energies every scenario uses.  One shared object, so the per-instance
-#: caches keyed by it (route tables, energy columns) match it by identity.
+#: caches keyed by it (route tables, link energies) match it by identity.
 DEFAULT_ENERGY = EnergyParams()
 
 
@@ -182,64 +183,45 @@ SCALED_LAYERS = (LayerKind.RELAY, LayerKind.COORDINATOR,
                  LayerKind.ONU, LayerKind.OLT)
 
 
-class EnergyColumns:
-    """One instance's per-node energies under one ``EnergyParams``, each a
-    list indexed by node id: transmit and receive energy (J/bit; None where
-    the node's layer has no such role), the A weight, and the slot of the
-    node's layer in ``LayerKind`` order.  A link's energies are read from
-    its end nodes' entries; only the amplifier term is per link."""
+class LinkEnergies(NamedTuple):
+    """``links`` maps each link of an instance, in build order, to its
+    (tx, rx, cost) in J/bit under one ``EnergyParams``: transmit energy at
+    the source (amplifier term included on wireless links), receive energy
+    at the destination, and their A-weighted sum.  ``slot[n]`` is the
+    index of node n's layer in ``LayerKind`` order."""
 
-    def __init__(self, instance: NetworkInstance, energy: EnergyParams):
-        layers = [node.layer for node in instance.nodes]
-        slot_of = {k: i for i, k in enumerate(LayerKind)}
-        self.links = instance.links
-        self.layers = layers
-        self.tx = [getattr(energy, _TX_ATTR[k]) if k in _TX_ATTR else None
-                   for k in layers]
-        self.rx = [getattr(energy, _RX_ATTR[k]) if k in _RX_ATTR else None
-                   for k in layers]
-        self.weight = [a_weight(k, energy.scaling_a) for k in layers]
-        self.slot = [slot_of[k] for k in layers]
-        self.epsilon = energy.epsilon
+    links: dict[tuple[int, int], tuple[float, float, float]]
+    slot: list[int]
 
-    def energy(self, link: tuple[int, int]) -> tuple[float, float]:
-        """Transmit energy at the source (amplifier term included on
-        wireless links) and receive energy at the destination of ``link``.
-        A pair that is not a link raises ``KeyError``."""
-        medium, distance_m = self.links[link]
+
+def link_energies(instance: NetworkInstance,
+                  energy: EnergyParams) -> LinkEnergies:
+    """The instance's table for ``energy``, built on first use; a link
+    without a transmitting source or a receiving destination is refused."""
+    table = instance.link_energies.get(energy)
+    if table is not None:
+        return table
+    layers = [node.layer for node in instance.nodes]
+    tx_of = [getattr(energy, _TX_ATTR[k]) if k in _TX_ATTR else None
+             for k in layers]
+    rx_of = [getattr(energy, _RX_ATTR[k]) if k in _RX_ATTR else None
+             for k in layers]
+    weight = [a_weight(k, energy.scaling_a) for k in layers]
+    links = {}
+    for link, (medium, distance_m) in instance.links.items():
         src, dst = link
-        tx = self.tx[src]
+        tx = tx_of[src]
         if tx is None:
-            raise ModelError(f"layer {self.layers[src]} has no transmit role")
+            raise ModelError(f"layer {layers[src]} has no transmit role")
         if medium is Medium.WIRELESS:
-            tx += self.epsilon * distance_m ** 2
-        rx = self.rx[dst]
+            tx += energy.epsilon * distance_m ** 2
+        rx = rx_of[dst]
         if rx is None:
-            raise ModelError(f"layer {self.layers[dst]} has no receive role")
-        return tx, rx
-
-    def cost(self, link: tuple[int, int]) -> float:
-        """The A-weighted transmit plus receive energy of ``link``."""
-        tx, rx = self.energy(link)
-        return self.weight[link[0]] * tx + self.weight[link[1]] * rx
-
-
-def energy_columns(instance: NetworkInstance,
-                   energy: EnergyParams) -> EnergyColumns:
-    """The instance's columns for ``energy``, computed on first use."""
-    columns = instance.energy_columns.get(energy)
-    if columns is None:
-        columns = instance.energy_columns[energy] = EnergyColumns(instance,
-                                                                  energy)
-    return columns
-
-
-def link_energy(instance: NetworkInstance, link: tuple[int, int],
-                energy: EnergyParams) -> tuple[float, float]:
-    """Unweighted energies (J/bit) of one bit across ``link``, a ``(src,
-    dst)`` pair of ``instance.links``: transmit at the source (amplifier
-    term included on wireless links) and receive at the destination."""
-    return energy_columns(instance, energy).energy(link)
+            raise ModelError(f"layer {layers[dst]} has no receive role")
+        links[link] = (tx, rx, weight[src] * tx + weight[dst] * rx)
+    slot = [list(LayerKind).index(k) for k in layers]
+    table = instance.link_energies[energy] = LinkEnergies(links, slot)
+    return table
 
 
 def a_weight(layer: LayerKind, scaling_a: float) -> float:
@@ -252,7 +234,7 @@ def link_cost_per_bit(instance: NetworkInstance, link: tuple[int, int],
     """Objective cost (J/bit) of pushing one bit across ``link``: the
     A-weighted transmit energy at the source plus the A-weighted receive
     energy at the destination."""
-    return energy_columns(instance, params.energy).cost(link)
+    return link_energies(instance, params.energy).links[link][2]
 
 
 def traffic_power(flows, instance: NetworkInstance,
@@ -263,13 +245,12 @@ def traffic_power(flows, instance: NetworkInstance,
     wireless links) for outgoing bits and its receive energy for incoming
     bits.  Objects only transmit; the OLT only receives.
     """
-    columns = energy_columns(instance, params.energy)
-    slot = columns.slot
+    links, slot = link_energies(instance, params.energy)
     power = [0.0] * len(LayerKind)
     upt, pt = flows.link_rates()
     for pair in set(upt) | set(pt):
         try:
-            tx, rx = columns.energy(pair)
+            tx, rx, _ = links[pair]
         except KeyError:
             raise ModelError(f"flow on non-existent link {pair}") from None
         rate = upt.get(pair, 0.0) + pt.get(pair, 0.0)

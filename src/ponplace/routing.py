@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 
-from .power import EnergyParams, ModelParams, energy_columns
+from .power import EnergyParams, ModelParams, link_energies
 from .topology import NetworkInstance
 
 #: Hops added per link under each order; 0 leaves cost alone to decide.
@@ -61,16 +61,16 @@ class _Search:
 
 
 class RouteTable:
-    """Every route of one instance under one ``EnergyParams``.  Link costs
-    are computed once; the search from a source under an order is started
-    when it is first asked for, and kept."""
+    """Every route of one instance under one ``EnergyParams``, over the
+    link costs of its ``LinkEnergies``; the search from a source under an
+    order is started when it is first asked for, and kept."""
 
     def __init__(self, instance: NetworkInstance, params: ModelParams):
-        link_cost = energy_columns(instance, params.energy).cost
         #: node -> [(next node, link cost)], in link build order.
         self._out: dict[int, list[tuple[int, float]]] = {}
-        for src, dst in instance.links:
-            self._out.setdefault(src, []).append((dst, link_cost((src, dst))))
+        for (src, dst), (_, _, cost) in link_energies(
+                instance, params.energy).links.items():
+            self._out.setdefault(src, []).append((dst, cost))
         self._searches: dict[tuple[str, int], _Search] = {}
 
     def _search(self, order: str, src: int) -> _Search:

@@ -140,8 +140,8 @@ class NetworkInstance:
                         for net in self.networks}
         #: ``EnergyParams`` -> route table, filled by ``ponplace.routing``.
         self.route_tables: dict = {}
-        #: ``EnergyParams`` -> per-node energies, filled by ``ponplace.power``.
-        self.energy_columns: dict = {}
+        #: ``EnergyParams`` -> link energies, filled by ``ponplace.power``.
+        self.link_energies: dict = {}
 
     def layer(self, node_id: int) -> LayerKind:
         return self.nodes[node_id].layer

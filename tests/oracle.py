@@ -1,7 +1,8 @@
 """Independent brute-force oracle used to check the exact engine.
 
-Deliberately shares nothing with the engine's search: paths come from
-networkx Dijkstra, per-type placements are enumerated exhaustively with
+Deliberately shares nothing with the engine's search: link costs come
+from its own per-link formula (``ref_link_cost``), paths from networkx
+Dijkstra, per-type placements are enumerated exhaustively with
 itertools, and costs are summed in plain Python.  Valid whenever the
 per-cloudlet workload cap cannot bind across types (the corpus keeps
 vm_types <= 2, where the worst combined workload is 0.8).
@@ -13,9 +14,40 @@ import random
 import networkx as nx
 
 import ponplace as pp
-from ponplace.topology import LayerKind, OLT_NETWORK_ID, RelayLayout
+from ponplace.topology import LayerKind, Medium, OLT_NETWORK_ID, RelayLayout
 
 CORPUS_REDUCTIONS = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+#: The energy formula evaluated link by link: each end's energy attribute
+#: by its layer, the amplifier term on wireless links, and A on the scaled
+#: layers.  The engines' link-energy table must equal it bit for bit.
+REF_TX = {LayerKind.OBJECT: "e_ot", LayerKind.RELAY: "e_rt",
+          LayerKind.COORDINATOR: "e_ct", LayerKind.GATEWAY: "e_gt",
+          LayerKind.ONU: "e_u"}
+REF_RX = {LayerKind.RELAY: "e_rr", LayerKind.COORDINATOR: "e_cr",
+          LayerKind.GATEWAY: "e_gr", LayerKind.ONU: "e_u",
+          LayerKind.OLT: "e_l"}
+REF_SCALED = (LayerKind.RELAY, LayerKind.COORDINATOR, LayerKind.ONU,
+              LayerKind.OLT)
+
+
+def ref_link_energy(instance, link, energy):
+    medium, distance_m = instance.links[link]
+    tx = getattr(energy, REF_TX[instance.layer(link[0])])
+    if medium is Medium.WIRELESS:
+        tx += energy.epsilon * distance_m ** 2
+    return tx, getattr(energy, REF_RX[instance.layer(link[1])])
+
+
+def ref_weight(instance, node, energy):
+    return (energy.scaling_a if instance.layer(node) in REF_SCALED
+            else 1.0)
+
+
+def ref_link_cost(instance, link, energy):
+    tx, rx = ref_link_energy(instance, link, energy)
+    return (ref_weight(instance, link[0], energy) * tx
+            + ref_weight(instance, link[1], energy) * rx)
 
 
 def corpus_case(rng: random.Random):
@@ -48,15 +80,20 @@ def _visible(instance, cand, o) -> list[int]:
             in (instance.network_of(o), OLT_NETWORK_ID)]
 
 
+def _cost_graph(instance, params) -> nx.DiGraph:
+    """The links weighted by ``ref_link_cost``."""
+    g = nx.DiGraph()
+    for link in instance.links:
+        g.add_edge(*link, w=ref_link_cost(instance, link, params.energy))
+    return g
+
+
 def brute_force_optimum(instance, params) -> float:
     """Exhaustive optimum: per VM type, try every candidate subset and give
     each object its cheapest open facility (single instance, cheapest
     path); sum the per-type minima.  Asserts the workload cap never binds,
     which makes the per-type decomposition exact."""
-    g = nx.DiGraph()
-    for src, dst in instance.links:
-        g.add_edge(src, dst,
-                   w=pp.link_cost_per_bit(instance, (src, dst), params))
+    g = _cost_graph(instance, params)
     cand = _candidates(instance)
     olt = instance.olt_id
     sub = g.subgraph(cand)
@@ -77,14 +114,15 @@ def brute_force_optimum(instance, params) -> float:
                 if c in lengths:
                     assign_cost[(o, c)] = (demand * lengths[c]
                                            + f * demand * proc[c])
+        open_cost = {c: params.workloads.workload(v, instance.layer(c))
+                     * params.processing.max_power(instance.layer(c))
+                     for c in cand}
         best = None
         best_set = ()
         subsets = itertools.chain.from_iterable(
             itertools.combinations(cand, k) for k in range(len(cand) + 1))
         for subset in subsets:
-            cost = sum(params.workloads.workload(v, instance.layer(c))
-                       * params.processing.max_power(instance.layer(c))
-                       for c in subset)
+            cost = sum(open_cost[c] for c in subset)
             feasible = True
             for o in objs:
                 options = [assign_cost[(o, c)] for c in subset
@@ -108,10 +146,7 @@ def brute_force_optimum(instance, params) -> float:
 def joint_brute_force_optimum(instance, params) -> float:
     """Fully joint enumeration (product of per-type subsets) honoring the
     workload cap.  Exponential in types x candidates; tiny instances only."""
-    g = nx.DiGraph()
-    for src, dst in instance.links:
-        g.add_edge(src, dst,
-                   w=pp.link_cost_per_bit(instance, (src, dst), params))
+    g = _cost_graph(instance, params)
     cand = _candidates(instance)
     olt = instance.olt_id
     sub = g.subgraph(cand)

@@ -185,10 +185,13 @@ def test_empty_network_costs_nothing():
     assert report.total_w == 0.0
 
 
-def test_import_does_not_load_scipy():
-    # solve_exact imports scipy on first use; the heuristic never pays it
+def test_import_loads_no_numpy_scipy_or_process_pool():
+    # solve_exact imports scipy (and numpy with it) on first use, run_sweep
+    # a process pool only for jobs > 1; the heuristic never pays for them
     code = ("import ponplace, sys; "
-            "assert not any(m.startswith('scipy') for m in sys.modules)")
+            "loaded = [m for m in ('numpy', 'scipy', "
+            "'concurrent.futures.process') if m in sys.modules]; "
+            "assert not loaded, loaded")
     src = str(Path(pp.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": src})

@@ -11,6 +11,7 @@ from ponplace.power import (DEFAULT_CPU_COUNTS, EnergyParams, ModelParams,
 from ponplace.routing import min_hop_path, route_table
 from ponplace.solution import FlowAssignment, PlacementSolution
 from ponplace.topology import LayerKind, Medium, Node
+from oracle import ref_link_cost, ref_link_energy
 from test_routing import ENERGIES
 
 
@@ -113,38 +114,6 @@ class TestTrafficPower:
             assert p2[layer] == pytest.approx(2 * p1[layer], abs=1e-18)
 
 
-#: The energy formula evaluated link by link, the reference the per-node
-#: columns must equal bit for bit: each end's energy attribute by its
-#: layer, the amplifier term on wireless links, and A on the scaled layers.
-REF_TX = {LayerKind.OBJECT: "e_ot", LayerKind.RELAY: "e_rt",
-          LayerKind.COORDINATOR: "e_ct", LayerKind.GATEWAY: "e_gt",
-          LayerKind.ONU: "e_u"}
-REF_RX = {LayerKind.RELAY: "e_rr", LayerKind.COORDINATOR: "e_cr",
-          LayerKind.GATEWAY: "e_gr", LayerKind.ONU: "e_u",
-          LayerKind.OLT: "e_l"}
-REF_SCALED = (LayerKind.RELAY, LayerKind.COORDINATOR, LayerKind.ONU,
-              LayerKind.OLT)
-
-
-def ref_link_energy(instance, link, energy):
-    medium, distance_m = instance.links[link]
-    tx = getattr(energy, REF_TX[instance.layer(link[0])])
-    if medium is Medium.WIRELESS:
-        tx += energy.epsilon * distance_m ** 2
-    return tx, getattr(energy, REF_RX[instance.layer(link[1])])
-
-
-def ref_weight(instance, node, energy):
-    return (energy.scaling_a if instance.layer(node) in REF_SCALED
-            else 1.0)
-
-
-def ref_link_cost(instance, link, energy):
-    tx, rx = ref_link_energy(instance, link, energy)
-    return (ref_weight(instance, link[0], energy) * tx
-            + ref_weight(instance, link[1], energy) * rx)
-
-
 def ref_traffic_power(flows, instance, energy):
     power = {k: 0.0 for k in LayerKind}
     upt, pt = flows.link_rates()
@@ -165,15 +134,16 @@ def paper_seed7():
 
 @pytest.mark.parametrize("energy", ENERGIES)
 class TestEnergyColumnsBitExact:
-    """Every float read from the per-node columns equals the per-link
-    formula exactly, zero energies and large amplifier terms included."""
+    """Every float read from the link-energy table equals the oracle's
+    per-link formula exactly, zero energies and large amplifier terms
+    included."""
 
     def test_every_link(self, paper_seed7, energy):
         inst = paper_seed7
         params = dataclasses.replace(scenario1(), energy=energy)
         for link in inst.links:
             cost = ref_link_cost(inst, link, energy)
-            assert pp.power.link_energy(inst, link, energy) \
+            assert pp.power.link_energies(inst, energy).links[link][:2] \
                 == ref_link_energy(inst, link, energy)
             assert pp.link_cost_per_bit(inst, link, params) == cost
             # The one-link path is the only one-hop path, so its min-hop
@@ -205,7 +175,8 @@ BAD_ROLES = pytest.mark.parametrize("src_layer, dst_layer, text", [
 
 class TestEnergyRoleErrors:
     """A link without a transmitting source or a receiving destination is
-    refused by every reader of the columns, with the same text."""
+    refused by every reader of the link-energy table, with the same
+    text."""
 
     @staticmethod
     def bad_link(src_layer, dst_layer):
