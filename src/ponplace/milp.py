@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -137,8 +137,9 @@ class MilpModel:
     """The arc model.  ``kinds`` gives the kind ("continuous" or "binary")
     of each variable outside the commodities; ``blocks`` holds the rows in
     order, with each commodity's conservation rows and each aggregate
-    family as one record.  ``variables`` and ``rows`` read the whole
-    model, those records expanded."""
+    family as one record.  The writers and ``counts()`` read ``blocks``;
+    ``variables`` (name -> kind) and ``rows`` expand them into a new flat
+    dict and list on each access."""
 
     kinds: dict[str, str]
     objective: dict[str, float]
@@ -149,12 +150,17 @@ class MilpModel:
                 for com in part.commodities)
 
     @property
-    def variables(self) -> "_Variables":
-        return _Variables(self)
+    def variables(self) -> dict[str, str]:
+        out = dict(self.kinds)
+        for com in self.commodities():
+            out.update(dict.fromkeys([com.prefix + s for s in com.graph.links],
+                                     "continuous"))
+        return out
 
     @property
-    def rows(self) -> "_Rows":
-        return _Rows(self.blocks)
+    def rows(self) -> list[Row]:
+        return [row for part in self.blocks
+                for row in ([part] if isinstance(part, Row) else part.rows())]
 
     def counts(self) -> dict[str, int]:
         out = {"continuous": 0, "binary": 0, "constraints": 0}
@@ -183,49 +189,6 @@ def _row_count(part: Row | Commodity | Aggregate) -> tuple[str, int]:
     if isinstance(part, Aggregate):
         return part.family, len(part.totals)
     return part.name, 1
-
-
-class _Rows:
-    """Every row of a model, in order."""
-
-    def __init__(self, blocks: list[Row | Commodity | Aggregate]):
-        self.blocks = blocks
-
-    def __len__(self) -> int:
-        return sum(_row_count(part)[1] for part in self.blocks)
-
-    def __iter__(self) -> Iterator[Row]:
-        for part in self.blocks:
-            if isinstance(part, Row):
-                yield part
-            else:
-                yield from part.rows()
-
-
-class _Variables(Mapping):
-    """Name -> kind of every variable of a model."""
-
-    def __init__(self, model: MilpModel):
-        self.kinds = model.kinds
-        self.by_prefix = {com.prefix: com for com in model.commodities()}
-
-    def __len__(self) -> int:
-        return len(self.kinds) + sum(len(com.graph.links)
-                                     for com in self.by_prefix.values())
-
-    def __iter__(self) -> Iterator[str]:
-        yield from self.kinds
-        for prefix, com in self.by_prefix.items():
-            yield from (prefix + s for s in com.graph.links)
-
-    def __getitem__(self, name: str) -> str:
-        if name in self.kinds:
-            return self.kinds[name]
-        prefix = name.rsplit("_", 2)[0]  # a link suffix is "_src_dst"
-        com = self.by_prefix.get(prefix)
-        if com is None or name[len(prefix):] not in com.graph.links:
-            raise KeyError(name)
-        return "continuous"
 
 
 def build_model(instance: NetworkInstance, params: ModelParams) -> MilpModel:
@@ -675,12 +638,17 @@ def _index_problem(name: str, instance: NetworkInstance,
     return None
 
 
+class _FileValues(dict):
+    """Variable values read from the file ``path``, each ``name`` stated at
+    line ``line[name]``."""
+
+
 def load_solution_values(path: str | Path) -> dict[str, float]:
     """Read a two-column ``variable value`` file.  Blank lines and ``#``
     comments are skipped; anything else that is not a known variable with
     a finite, nonnegative value fails, naming ``path:line``."""
-    values: dict[str, float] = {}
-    seen: dict[str, int] = {}
+    values = _FileValues()
+    values.path, values.line = path, {}
     for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -697,11 +665,11 @@ def load_solution_values(path: str | Path) -> dict[str, float]:
             raise ValueError(f"{where}: value {text!r} is not a number") \
                 from None
         problem = _variable_problem(name, value)
-        if problem is None and name in seen:
-            problem = f"{name} repeats line {seen[name]}"
+        if problem is None and name in values.line:
+            problem = f"{name} repeats line {values.line[name]}"
         if problem is not None:
             raise ValueError(f"{where}: {problem}")
-        seen[name] = number
+        values.line[name] = number
         values[name] = value
     return values
 
@@ -712,11 +680,14 @@ def solution_from_values(values: dict[str, float], instance: NetworkInstance,
     """Rebuild a placement and flow assignment from imported variable
     values (native export or an external solver's answer).  Values of the
     aggregate families (``xovc``, ``lu``, ``lp``) are accepted and
-    ignored: what they sum is read from the per-commodity values."""
+    ignored: what they sum is read from the per-commodity values.  A value
+    read by ``load_solution_values`` is refused naming its ``path:line``."""
     for name, value in values.items():
         problem = (_variable_problem(name, value)
                    or _index_problem(name, instance, params.workloads.vm_types))
         if problem is not None:
+            if isinstance(values, _FileValues):
+                problem = f"{values.path}:{values.line[name]}: {problem}"
             raise ValueError(problem)
     placed = set()
     stated_open: dict[int, bool] = {}  # candidate -> its H_c, where stated
@@ -781,8 +752,9 @@ class ValidationReport:
 def validate_solution(solution: PlacementSolution, flows: FlowAssignment,
                       instance: NetworkInstance, params: ModelParams
                       ) -> ValidationReport:
-    """Check every constraint family against the given solution and flows
-    and recompute the objective independently of the producing engine."""
+    """Check every constraint family against the given solution and flows.
+    The objective is ``total_objective``'s, the call ``solution.serve``
+    makes for every engine, so it is not independent (ROADMAP item 5)."""
     bad: list[Violation] = []
 
     def check(family: str, row: str, residual: float,

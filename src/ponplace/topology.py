@@ -109,9 +109,11 @@ class TopologyConfig:
 
 
 class NetworkInstance:
-    """Node/link graph plus per-object VM requests, read-only once built
-    and safe to share across concurrent solver runs.  ``links`` maps each
-    directed link ``(src, dst)``, in build order, to its ``(medium,
+    """Node/link graph plus per-object VM requests.  ``route_tables`` and
+    ``link_energies`` fill on first use and route lookups advance kept
+    searches: calls from one thread share an instance safely, threads must
+    not, and each ``sweep --jobs`` worker has its own copy.  ``links`` maps
+    each directed link ``(src, dst)``, in build order, to its ``(medium,
     distance_m)``; only wireless links pay the amplifier term.
 
     ``candidates`` are the nodes that may host a cloudlet, every node but

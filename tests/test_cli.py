@@ -108,7 +108,11 @@ def test_validate_flags_corrupted_solution(tmp_path, capsys):
     ("TW_28 0.3", "", {"tw24_28"}),
     # node 30 is network 0's ONU, node 29 its gateway
     ("xoc_30_29 1.0",
-     "error: variable 'xoc_30_29' names onu node 30 as an object\n", None),
+     "error: {where}: variable 'xoc_30_29' names onu node 30 as an object\n",
+     None),
+    # the reduced instance has nodes 0-62
+    ("xuf_0_24_999_5 1.0", "error: {where}: variable 'xuf_0_24_999_5' names "
+     "a node or VM type the instance lacks\n", None),
     ("Iv_24_0 0.7",
      "error: {where}: Iv_24_0 has value 0.7; a binary must be 0 or 1\n", None),
     # node 24 hosts the instances of network 0, node 25 none:
@@ -126,7 +130,7 @@ def test_validate_flags_corrupted_solution(tmp_path, capsys):
     ("xpf_24_0_25 1.0", "",
      {"fc18_24_offgraph_0_25", "fc18_24_0", "fc18_24_25"})],
     ids=["over-capacity", "workload-where-nothing-is-hosted", "onu-as-object",
-         "fractional-binary", "hosting-cloudlet-closed",
+         "node-the-instance-lacks", "fractional-binary", "hosting-cloudlet-closed",
          "empty-cloudlet-open", "traffic-to-a-closed-instance",
          "share-above-demand", "processed-flow-off-the-graph"])
 def test_validate_reports_or_refuses_a_bad_file(tmp_path, capsys, line, err,

@@ -299,6 +299,29 @@ class TestExportBytes:
                      "--out", str(tmp_path)]) == 0
         assert export_digests(tmp_path) == digests
 
+    def test_export_never_expands_the_model(self, reduced_instance, tmp_path,
+                                            monkeypatch):
+        """``build_model``, both writers and ``counts()`` read the blocks
+        alone: at the paper scale (1,940,078 variables) the flat
+        ``variables`` and ``rows`` would hold the whole model in memory."""
+        params = ModelParams.for_scenario(2, 0.3)
+
+        def export(directory):
+            model = build_model(reduced_instance, params)
+            directory.mkdir()
+            emit_lp(model, directory / "model.lp")
+            emit_mps(model, directory / "model.mps")
+            return export_digests(directory), model.counts()
+
+        expected = export(tmp_path / "unpatched")
+
+        def expand(model):
+            raise AssertionError("the export expanded the flat model")
+
+        monkeypatch.setattr(MilpModel, "variables", property(expand))
+        monkeypatch.setattr(MilpModel, "rows", property(expand))
+        assert export(tmp_path / "patched") == expected
+
 
 @lru_cache(maxsize=None)
 def reduced_seed(seed: int) -> pp.NetworkInstance:
