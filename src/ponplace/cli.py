@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import eepiv as eepiv_mod
 from . import experiments, milp
-from .config import load_config, model_params
+from .config import load_config
 from .power import ModelParams
 from .topology import TopologyConfig, build_instance, write_csv
 
@@ -77,7 +77,7 @@ def _instance_and_params(args):
     else:
         config = experiments.topology_for_scale(args.scale or "paper",
                                                 TopologyConfig.rng_seed)
-        params = model_params({}, config.vm_types)
+        params = ModelParams.for_scenario(vm_types=config.vm_types)
     if args.seed is not None:
         config = replace(config, rng_seed=args.seed)
     params = ModelParams.for_scenario(

@@ -87,23 +87,9 @@ def load_config(path: str | Path) -> tuple[TopologyConfig, ModelParams]:
                           f"it must be left out, as the line relay layout "
                           f"does not read it")
     model_data = _section(path, data, "model", ModelParams, _MODEL_KEYS)
-    if model_data.get("demand_bps", 1.0) <= 0:
-        raise ConfigError(f"{path}: model.demand_bps is "
-                          f"{model_data['demand_bps']!r}; it must be > 0")
     try:
         topology = TopologyConfig(**topology_data)
-        return topology, model_params(model_data, topology.vm_types)
-    except ConfigError as exc:  # a topology value out of range
+        return topology, ModelParams.for_scenario(vm_types=topology.vm_types,
+                                                  **model_data)
+    except ValueError as exc:  # a value out of range
         raise ConfigError(f"{path}: {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"{path}: model: {exc}") from None
-
-
-def model_params(model_data: dict, vm_types: int) -> ModelParams:
-    """``ModelParams`` from the keys of a ``model`` section; a key left
-    out takes its default (scenario 1, reduction 0.5)."""
-    model_data = dict(model_data)
-    scenario = model_data.pop("scenario", 1)
-    reduction = model_data.pop("reduction_pct", 0.5)
-    return ModelParams.for_scenario(scenario, reduction, vm_types=vm_types,
-                                    **model_data)

@@ -47,7 +47,8 @@ class SweepSpec:
     scale: str = "paper"  # "paper" | "reduced"
     capacity_enforced: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        """Refuse an axis, engine, scale or cell that cannot run."""
         if not self.scenarios or not self.reductions or not self.engines \
                 or not self.seeds:
             raise SweepError("scenarios, reductions, engines and seeds "
@@ -71,7 +72,7 @@ class SweepSpec:
         try:
             for scenario in self.scenarios:
                 for reduction in self.reductions:
-                    ModelParams.check_scenario(scenario, reduction)
+                    ModelParams.for_scenario(scenario, reduction)
         except ModelError as exc:
             raise SweepError(str(exc)) from None
 
@@ -156,9 +157,8 @@ def run_sweep(spec: SweepSpec, out_dir: str | Path | None = None,
     independent; with ``jobs > 1`` they run in worker processes and are
     merged by key, so the result is identical for any job count.  Cells
     run seed by seed, so that consecutive cells share one instance.  The
-    spec and ``jobs`` are checked before any cell runs, and ``out_dir``,
-    if given, is created only after they pass."""
-    spec.validate()
+    spec checks itself when it is made; ``jobs`` is checked before any cell
+    runs, and ``out_dir``, if given, is created only after it passes."""
     if jobs < 1:
         raise SweepError(f"jobs must be at least 1, not {jobs}")
     if out_dir is not None:

@@ -10,7 +10,8 @@ are not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 from .topology import ConfigError, LayerKind, Medium, NetworkInstance
@@ -35,6 +36,14 @@ class EnergyParams:
     e_l: float = 225.6e-12    # OLT receive
     epsilon: float = 255e-12  # amplifier, J/(bit*m^2), wireless links only
     scaling_a: float = 5.0    # networking scaling factor
+
+    def __post_init__(self):
+        """Refuse a negative or non-finite value, naming its field."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not 0.0 <= value < math.inf:
+                raise ModelError(f"energy.{f.name} is {value!r}; it must be "
+                                 f"a finite number >= 0")
 
 
 #: The energies every scenario uses.  One shared object, so the per-instance
@@ -127,27 +136,29 @@ class ModelParams:
     capacity_enforced: bool = True
     scenario: int = 1
 
+    def __post_init__(self):
+        """Refuse a value out of range, naming its key."""
+        for key, bad, rule in (
+                ("scenario", self.scenario not in (1, 2, 3), "1, 2 or 3"),
+                ("reduction_pct", not 0.0 <= self.reduction_pct < 1.0,
+                 "in [0, 1)"),
+                ("demand_bps", not 0.0 < self.demand_bps < math.inf,
+                 "a finite number > 0")):
+            if bad:
+                raise ModelError(f"model.{key} is {getattr(self, key)!r}; "
+                                 f"it must be {rule}")
+
     @property
     def remaining_fraction(self) -> float:
         """Fraction of a cloudlet's inflow that continues to the OLT."""
         return 1.0 - self.reduction_pct
 
-    @staticmethod
-    def check_scenario(scenario: int, reduction_pct: float) -> None:
-        """Refuse a scenario outside 1-3 or a reduction outside [0, 1)."""
-        if scenario not in (1, 2, 3):
-            raise ModelError(f"unknown scenario {scenario}")
-        if not 0.0 <= reduction_pct < 1.0:
-            raise ModelError(f"reduction_pct {reduction_pct!r} must lie in "
-                             f"[0, 1)")
-
     @classmethod
-    def for_scenario(cls, scenario: int, reduction_pct: float,
+    def for_scenario(cls, scenario: int = 1, reduction_pct: float = 0.5,
                      vm_types: int = 4, **overrides) -> "ModelParams":
         """Scenario 1: heterogeneous VM CPU demands.  Scenario 2: all types
         at the heaviest demand.  Scenario 3: as 2, with an inefficient OLT
-        CPU (9.28 W)."""
-        cls.check_scenario(scenario, reduction_pct)
+        CPU (9.28 W).  Left out, the scenario is 1 and the reduction 0.5."""
         if scenario == 1:
             workloads = WorkloadTable.heterogeneous(vm_types)
         else:

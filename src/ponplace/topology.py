@@ -85,7 +85,15 @@ class TopologyConfig:
         k = self.relays_per_network
         grid = k > 0 and self.relay_layout is RelayLayout.GRID
         n = math.isqrt(max(k, 0))
+        xy = self.coordinator_xy
         for key, bad, rule in (
+                *((key, not math.isfinite(getattr(self, key)),
+                   "a finite number") for key in (
+                    "area_side_m", "gateway_coordinator_distance_m",
+                    "relay_spacing_m")),
+                ("coordinator_xy", xy is not None
+                 and (len(xy) != 2 or not all(map(math.isfinite, xy))),
+                 "None or a pair of finite numbers"),
                 ("networks", self.networks < 1, "at least 1"),
                 ("objects_per_network", self.objects_per_network < 0,
                  "at least 0"),

@@ -303,13 +303,16 @@ def test_config_unknown_model_key_exits_1(tmp_path, capsys):
     ('{"model": []}', "section 'model' must be an object"),
     ('{"model": {"capacity_enforced": "false"}}',
      'model.capacity_enforced is "false"; it must be true or false'),
-    ('{"model": {"demand_bps": -5}}', "model.demand_bps is -5; it must be > 0"),
+    ('{"model": {"demand_bps": -5}}',
+     "model.demand_bps is -5; it must be a finite number > 0"),
+    ('{"model": {"reduction_pct": 1.0}}',
+     "model.reduction_pct is 1.0; it must be in [0, 1)"),
     ('{"topology": {"coordinator_xy": [1]}}',
      "topology.coordinator_xy is [1]; it must be null or a pair of numbers"),
     ('{"topology": {"networks": 2,}}', ":1: not JSON"),
     ('{"topology": {"relay_layout": "hex"}}',
      "topology.relay_layout is \"hex\"; it must be one of ['grid', 'line']"),
-    ('{"model": {"scenario": 4}}', "model: unknown scenario 4"),
+    ('{"model": {"scenario": 4}}', "model.scenario is 4; it must be 1, 2 or 3"),
     ('{"topolgy": {}}', "unknown sections ['topolgy']"),
     ('{"topology": {"networks": 0}}',
      "topology.networks is 0; it must be at least 1"),
@@ -332,6 +335,7 @@ def test_config_unknown_model_key_exits_1(tmp_path, capsys):
      "relay layout does not read it")],
     ids=["int-as-text", "fractional-int", "number-as-text", "not-an-object",
          "section-not-an-object", "bool-as-text", "negative-demand",
+         "reduction-one",
          "short-pair", "syntax", "unknown-enum", "unknown-scenario",
          "unknown-section", "no-networks", "non-square-grid",
          "grid-too-wide", "vm-types-over-table", "negative-gateway-distance",
@@ -373,7 +377,7 @@ def test_sweep_rejects_config(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags,named", [
     (["--engine", "lp-export"], "export-lp"),
-    (["--scenarios", "4"], "unknown scenario 4"),
+    (["--scenarios", "4"], "model.scenario is 4"),
     (["--reductions", "0.5,1.5"], "1.5"),
     (["--jobs", "0"], "jobs"),
     (["--scenarios", "1,1"], "scenarios lists 1 more than once"),

@@ -68,25 +68,26 @@ def test_savings_requires_all_scenarios():
 
 def test_spec_validation(tmp_path):
     with pytest.raises(SweepError):
-        SweepSpec(reductions=()).validate()
+        SweepSpec(reductions=())
     with pytest.raises(SweepError):
-        SweepSpec(engines=("simplex",)).validate()
+        SweepSpec(engines=("simplex",))
     with pytest.raises(SweepError, match="ponplace export-lp"):
-        SweepSpec(engines=("eepiv", "lp-export")).validate()
+        SweepSpec(engines=("eepiv", "lp-export"))
     with pytest.raises(SweepError):
-        SweepSpec(scale="huge").validate()
-    with pytest.raises(SweepError, match="unknown scenario 4"):
-        SweepSpec(scenarios=(1, 4)).validate()
+        SweepSpec(scale="huge")
+    with pytest.raises(SweepError, match="model.scenario is 4; it must be "):
+        SweepSpec(scenarios=(1, 4))
     for bad in (1.5, 1.0, -0.1):
-        with pytest.raises(SweepError, match="must lie in"):
-            SweepSpec(reductions=(0.5, bad)).validate()
+        with pytest.raises(SweepError, match=f"model.reduction_pct is {bad}; "
+                                             f"it must be in"):
+            SweepSpec(reductions=(0.5, bad))
     # a repeated value would run its cells more than once
     for field, values, named in (("scenarios", (1, 2, 1), "1"),
                                  ("reductions", (0.5, 0.5), "0.5"),
                                  ("engines", ("eepiv", "eepiv"), "'eepiv'"),
                                  ("seeds", (7, 8, 8), "8")):
         with pytest.raises(SweepError, match=f"{field} lists {named} more"):
-            replace(SweepSpec(scale="reduced"), **{field: values}).validate()
+            replace(SweepSpec(scale="reduced"), **{field: values})
     # refused before any cell runs or the output directory is made
     for jobs in (0, -3):
         with pytest.raises(SweepError, match="jobs"):
@@ -95,6 +96,14 @@ def test_spec_validation(tmp_path):
     with pytest.raises(SweepError):
         run_sweep(SweepSpec(scenarios=(4,)), out_dir=tmp_path / "nd")
     assert not (tmp_path / "nd").exists()
+
+
+def test_replace_checks_spec():
+    spec = SweepSpec(scale="reduced")
+    with pytest.raises(SweepError, match="scenarios lists 1 more than once"):
+        replace(spec, scenarios=(1, 1))
+    with pytest.raises(SweepError, match="model.reduction_pct is 1.0"):
+        replace(spec, reductions=(0.5, 1.0))
 
 
 def test_parallel_matches_serial():

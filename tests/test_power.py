@@ -341,6 +341,27 @@ class TestWorkloadTable:
             ModelParams.for_scenario(4, 0.5)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("reduction_pct", 1.5), ("reduction_pct", 1.0), ("reduction_pct", -0.1),
+    ("scenario", 0), ("scenario", 7), ("demand_bps", -5000.0),
+    ("demand_bps", 0.0), ("demand_bps", math.nan), ("demand_bps", math.inf)])
+def test_model_params_refuse_out_of_range(key, value):
+    params = ModelParams.for_scenario(1, 0.5)
+    with pytest.raises(pp.ModelError, match="^" + re.escape(
+            f"model.{key} is {value!r}; it must be ")):
+        dataclasses.replace(params, **{key: value})
+
+
+@pytest.mark.parametrize("value", [-1e-9, math.nan, math.inf])
+@pytest.mark.parametrize("name", [f.name for f in
+                                  dataclasses.fields(EnergyParams)])
+def test_energy_params_refuse_negative_or_non_finite(name, value):
+    with pytest.raises(pp.ModelError, match="^" + re.escape(
+            f"energy.{name} is {value!r}; it must be a finite number >= 0")
+            + "$"):
+        dataclasses.replace(EnergyParams(), **{name: value})
+
+
 def test_zero_reduction_identity():
     # f = 1: processed outflow of every cloudlet equals its unprocessed inflow
     inst = pp.build_instance(pp.TopologyConfig(

@@ -4,6 +4,7 @@ import math
 import pytest
 
 import ponplace as pp
+from ponplace.experiments import REDUCED_SCALE_CONFIG
 from ponplace.topology import (ConfigError, LayerKind, Medium, Node,
                                OLT_NETWORK_ID, RelayLayout, RequestAssignment)
 
@@ -133,6 +134,17 @@ def test_config_errors():
                                             relays_per_network=0))
     with pytest.raises(ConfigError):
         pp.build_instance(pp.TopologyConfig(vm_types=0))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("gateway_coordinator_distance_m", math.nan),
+    ("gateway_coordinator_distance_m", math.inf),
+    ("relay_spacing_m", math.nan), ("relay_spacing_m", -math.inf),
+    ("area_side_m", math.inf), ("area_side_m", math.nan),
+    ("coordinator_xy", (math.nan, 1.0)), ("coordinator_xy", (1.0, math.inf))])
+def test_non_finite_config_refused(key, value):
+    with pytest.raises(ConfigError, match=f"^topology.{key} is "):
+        dataclasses.replace(REDUCED_SCALE_CONFIG, **{key: value})
 
 
 def test_candidates_and_serving_follow_ids_not_layers():
