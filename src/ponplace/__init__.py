@@ -8,8 +8,8 @@ from .milp import (InfeasibleError, ResourceBudgetError,
                    build_model, emit_lp, emit_mps, solve_exact,
                    validate_solution)
 from .power import (EnergyParams, ModelError, ModelParams, PowerReport,
-                    ProcessingParams, WorkloadTable, link_cost_per_bit,
-                    processing_power, total_objective, traffic_power)
+                    ProcessingParams, WorkloadTable, processing_power,
+                    total_objective, traffic_power)
 from .solution import EngineResult, FlowAssignment, PlacementSolution
 from .topology import (ConfigError, LayerKind, Medium, NetworkInstance, Node,
                        RelayLayout, RequestAssignment, TopologyConfig,
@@ -23,8 +23,7 @@ __all__ = [
     "Medium", "RequestAssignment", "RelayLayout", "ConfigError",
     "EnergyParams", "ProcessingParams", "WorkloadTable", "ModelParams",
     "PowerReport", "ModelError",
-    "link_cost_per_bit", "traffic_power", "processing_power",
-    "total_objective",
+    "traffic_power", "processing_power", "total_objective",
     "PlacementSolution", "FlowAssignment",
     "build_model", "emit_lp", "emit_mps", "solve_exact", "validate_solution",
     "ResourceBudgetError", "InfeasibleError",

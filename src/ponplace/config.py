@@ -1,69 +1,40 @@
-"""JSON config files: a ``topology`` section mapping to TopologyConfig
-fields and a ``model`` section selecting scenario, reduction and flags.
-Each value is checked against its field; a bad file raises a ConfigError
-naming the file and the key."""
+"""JSON config files: a ``topology`` section of TopologyConfig fields and a
+``model`` section of ModelParams ones.  Only faults of the JSON itself are
+refused here; TopologyConfig and ModelParams check each value.  A refusal
+is a ConfigError naming the file and the key."""
 
 from __future__ import annotations
 
 import enum
 import json
-import math
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .power import ModelParams
 from .topology import ConfigError, RelayLayout, TopologyConfig
 
-_MODEL_KEYS = {"scenario", "reduction_pct", "demand_bps", "capacity_enforced"}
 
-
-def _is_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _is_pair(value) -> bool:
-    return (isinstance(value, list) and len(value) == 2
-            and all(map(_is_number, value)))
-
-
-def _wanted(default, value) -> str | None:
-    """What a value of the field whose default is ``default`` must be, if
-    ``value`` is not one; the type of the default says."""
-    if isinstance(default, enum.Enum):
-        choices = [m.value for m in type(default)]
-        return None if value in choices else f"one of {choices}"
-    if isinstance(default, bool):
-        return None if isinstance(value, bool) else "true or false"
-    if isinstance(default, int):
-        return (None if isinstance(value, int) and not isinstance(value, bool)
-                else "an integer")
-    if isinstance(default, float):
-        return None if _is_number(value) else "a finite number"
-    # coordinator_xy, whose default None stands for the area's center
-    return (None if value is None or _is_pair(value)
-            else "null or a pair of numbers")
-
-
-def _section(path, data: dict, name: str, cls, keys) -> dict:
-    """Section ``name`` of ``data`` as keyword arguments of ``cls``: each
-    key one of ``keys`` and each value one of its field."""
+def _section(path, data: dict, name: str, cls) -> dict:
+    """Section ``name`` of ``data`` as keyword arguments of ``cls``, each
+    key a field of ``cls`` with a default: an enum field's name becomes its
+    member and a list a tuple, and ``cls`` checks the rest when built."""
     section = data.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"{path}: section {name!r} must be an object")
-    unknown = set(section) - set(keys)
+    kinds = {f.name: type(f.default) for f in fields(cls)
+             if f.default is not MISSING}
+    unknown = set(section) - set(kinds)
     if unknown:
         raise ConfigError(f"{path}: unknown {name} keys {sorted(unknown)}")
-    defaults = {f.name: f.default for f in fields(cls)}
     out = {}
     for key, value in section.items():
-        default = defaults[key]
-        wanted = _wanted(default, value)
-        if wanted:
-            raise ConfigError(f"{path}: {name}.{key} is "
-                              f"{json.dumps(value)}; it must be {wanted}")
-        out[key] = (type(default)(value) if isinstance(default, enum.Enum)
-                    else tuple(value) if isinstance(value, list) else value)
+        if issubclass(kinds[key], enum.Enum):
+            choices = [m.value for m in kinds[key]]
+            if value not in choices:
+                raise ConfigError(f"{path}: {name}.{key} is {json.dumps(value)}"
+                                  f"; it must be one of {choices}")
+            value = kinds[key](value)
+        out[key] = tuple(value) if isinstance(value, list) else value
     return out
 
 
@@ -78,18 +49,17 @@ def load_config(path: str | Path) -> tuple[TopologyConfig, ModelParams]:
     unknown = set(data) - {"topology", "model"}
     if unknown:
         raise ConfigError(f"{path}: unknown sections {sorted(unknown)}")
-    topology_data = _section(path, data, "topology", TopologyConfig,
-                             {f.name for f in fields(TopologyConfig)})
+    topology_data = _section(path, data, "topology", TopologyConfig)
     if (topology_data.get("relay_layout") is RelayLayout.LINE
             and "relay_spacing_m" in topology_data):
         raise ConfigError(f"{path}: topology.relay_spacing_m is "
                           f"{json.dumps(topology_data['relay_spacing_m'])}; "
                           f"it must be left out, as the line relay layout "
                           f"does not read it")
-    model_data = _section(path, data, "model", ModelParams, _MODEL_KEYS)
+    model_data = _section(path, data, "model", ModelParams)
     try:
         topology = TopologyConfig(**topology_data)
         return topology, ModelParams.for_scenario(vm_types=topology.vm_types,
                                                   **model_data)
-    except ValueError as exc:  # a value out of range
+    except ValueError as exc:  # a value of the wrong type or out of range
         raise ConfigError(f"{path}: {exc}") from None

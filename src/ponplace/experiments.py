@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import eepiv as eepiv_mod
 from . import milp
-from .power import ModelError, ModelParams, PowerReport
+from .power import ModelParams, PowerReport
 from .topology import (LayerKind, NetworkInstance, TopologyConfig,
                        build_instance)
 
@@ -49,12 +49,10 @@ class SweepSpec:
 
     def __post_init__(self):
         """Refuse an axis, engine, scale or cell that cannot run."""
-        if not self.scenarios or not self.reductions or not self.engines \
-                or not self.seeds:
-            raise SweepError("scenarios, reductions, engines and seeds "
-                             "must all be non-empty")
         for name in ("scenarios", "reductions", "engines", "seeds"):
             values = getattr(self, name)
+            if not values:
+                raise SweepError(f"{name} is empty; each axis needs a value")
             repeated = next((v for i, v in enumerate(values)
                              if v in values[:i]), None)
             if repeated is not None:
@@ -72,8 +70,12 @@ class SweepSpec:
         try:
             for scenario in self.scenarios:
                 for reduction in self.reductions:
-                    ModelParams.for_scenario(scenario, reduction)
-        except ModelError as exc:
+                    ModelParams.for_scenario(
+                        scenario, reduction,
+                        capacity_enforced=self.capacity_enforced)
+            for seed in self.seeds:
+                topology_for_scale(self.scale, seed)
+        except ValueError as exc:  # a cell's ModelParams or TopologyConfig
             raise SweepError(str(exc)) from None
 
 

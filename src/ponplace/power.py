@@ -10,11 +10,11 @@ are not.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
-from .topology import ConfigError, LayerKind, Medium, NetworkInstance
+from .topology import (ConfigError, LayerKind, Medium, NetworkInstance,
+                       check_types, type_rule)
 
 
 class ModelError(ValueError):
@@ -38,10 +38,10 @@ class EnergyParams:
     scaling_a: float = 5.0    # networking scaling factor
 
     def __post_init__(self):
-        """Refuse a negative or non-finite value, naming its field."""
+        """Refuse a value that is not a finite number >= 0."""
         for f in fields(self):
             value = getattr(self, f.name)
-            if not 0.0 <= value < math.inf:
+            if type_rule(f.default, value) or value < 0.0:
                 raise ModelError(f"energy.{f.name} is {value!r}; it must be "
                                  f"a finite number >= 0")
 
@@ -67,12 +67,22 @@ INEFFICIENT_OLT_CPU_POWER_W = 9.28
 
 @dataclass(frozen=True)
 class ProcessingParams:
-    """Per-layer CPU power and counts; max power is their product."""
+    """Per-layer CPU power and counts; max power is their product.  Each
+    candidate layer needs a finite power >= 0 and an integer count >= 1."""
 
     cpu_power_w: dict[LayerKind, float] = field(
         default_factory=lambda: {k: DEFAULT_CPU_POWER_W for k in DEFAULT_CPU_COUNTS})
     cpus: dict[LayerKind, int] = field(
         default_factory=lambda: dict(DEFAULT_CPU_COUNTS))
+
+    def __post_init__(self):
+        for key, least, rule in (("cpu_power_w", 0.0, "a finite number >= 0"),
+                                 ("cpus", 1, "an integer >= 1")):
+            for layer in DEFAULT_CPU_COUNTS:
+                value = getattr(self, key).get(layer)
+                if type_rule(least, value) or value < least:
+                    raise ModelError(f"processing.{key}[{layer.value}] is "
+                                     f"{value!r}; it must be {rule}")
 
     def max_power(self, layer: LayerKind) -> float:
         if layer not in self.cpus:
@@ -93,10 +103,20 @@ _BASE_WORKLOAD_ROW = {
 
 @dataclass(frozen=True)
 class WorkloadTable:
-    """Map (vm_type, layer) -> normalized workload fraction in [0, 1]."""
+    """Map (vm_type, layer) -> normalized workload fraction for ``vm_types``
+    (an integer >= 1) VM types; each fraction is a finite number in [0, 1]."""
 
     w: dict[tuple[int, LayerKind], float]
     vm_types: int
+
+    def __post_init__(self):
+        if type_rule(1, self.vm_types) or self.vm_types < 1:
+            raise ModelError(f"workloads.vm_types is {self.vm_types!r}; it "
+                             f"must be an integer >= 1")
+        for (v, layer), frac in self.w.items():
+            if type_rule(0.0, frac) or not 0.0 <= frac <= 1.0:
+                raise ModelError(f"workloads.w[{v}, {layer.value}] is {frac!r}"
+                                 f"; it must be a finite number in [0, 1]")
 
     @classmethod
     def heterogeneous(cls, vm_types: int = 4) -> "WorkloadTable":
@@ -137,13 +157,13 @@ class ModelParams:
     scenario: int = 1
 
     def __post_init__(self):
-        """Refuse a value out of range, naming its key."""
+        """Refuse a value of the wrong type or out of range."""
+        check_types(self, "model", ModelError)
         for key, bad, rule in (
                 ("scenario", self.scenario not in (1, 2, 3), "1, 2 or 3"),
                 ("reduction_pct", not 0.0 <= self.reduction_pct < 1.0,
                  "in [0, 1)"),
-                ("demand_bps", not 0.0 < self.demand_bps < math.inf,
-                 "a finite number > 0")):
+                ("demand_bps", self.demand_bps <= 0.0, "a finite number > 0")):
             if bad:
                 raise ModelError(f"model.{key} is {getattr(self, key)!r}; "
                                  f"it must be {rule}")
@@ -159,17 +179,14 @@ class ModelParams:
         """Scenario 1: heterogeneous VM CPU demands.  Scenario 2: all types
         at the heaviest demand.  Scenario 3: as 2, with an inefficient OLT
         CPU (9.28 W).  Left out, the scenario is 1 and the reduction 0.5."""
-        if scenario == 1:
-            workloads = WorkloadTable.heterogeneous(vm_types)
-        else:
-            workloads = WorkloadTable.homogeneous(vm_types)
-        processing = ProcessingParams()
-        if scenario == 3:
-            cpu_power = dict(processing.cpu_power_w)
-            cpu_power[LayerKind.OLT] = INEFFICIENT_OLT_CPU_POWER_W
-            processing = replace(processing, cpu_power_w=cpu_power)
+        table = (WorkloadTable.heterogeneous if scenario == 1
+                 else WorkloadTable.homogeneous)
+        processing = ProcessingParams(cpu_power_w={
+            k: INEFFICIENT_OLT_CPU_POWER_W if scenario == 3
+            and k is LayerKind.OLT else DEFAULT_CPU_POWER_W
+            for k in DEFAULT_CPU_COUNTS})
         return cls(energy=DEFAULT_ENERGY, processing=processing,
-                   workloads=workloads, reduction_pct=reduction_pct,
+                   workloads=table(vm_types), reduction_pct=reduction_pct,
                    scenario=scenario, **overrides)
 
 
@@ -238,14 +255,6 @@ def link_energies(instance: NetworkInstance,
 def a_weight(layer: LayerKind, scaling_a: float) -> float:
     """The objective's weight on a layer's traffic: A or 1."""
     return scaling_a if layer in SCALED_LAYERS else 1.0
-
-
-def link_cost_per_bit(instance: NetworkInstance, link: tuple[int, int],
-                      params: ModelParams) -> float:
-    """Objective cost (J/bit) of pushing one bit across ``link``: the
-    A-weighted transmit energy at the source plus the A-weighted receive
-    energy at the destination."""
-    return link_energies(instance, params.energy).links[link][2]
 
 
 def traffic_power(flows, instance: NetworkInstance,

@@ -12,12 +12,39 @@ import csv
 import enum
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 
 class ConfigError(ValueError):
     """Inconsistent or unsupported topology configuration."""
+
+
+def type_rule(default, value) -> str | None:
+    """What a value of the field whose default is ``default`` must be, if
+    ``value`` is not one: of the default's type exactly, where an ``int``
+    may stand for a ``float``, and finite if a number."""
+    kind = type(default)
+    if kind is float:
+        finite = type(value) in (int, float) and math.isfinite(value)
+        return None if finite else "a finite number"
+    if type(value) is kind:
+        return None
+    if default is None:  # coordinator_xy
+        pair = (type(value) is tuple and len(value) == 2
+                and not any(type_rule(0.0, v) for v in value))
+        return None if pair else "None or a pair of finite numbers"
+    return ("true or false" if kind is bool else "an integer" if kind is int
+            else f"a {kind.__name__}" if isinstance(default, enum.Enum)
+            else None)
+
+
+def check_types(record, section: str, error: type = ConfigError) -> None:
+    """Refuse a field of ``record`` that breaks its ``type_rule``."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if rule := type_rule(f.default, value):
+            raise error(f"{section}.{f.name} is {value!r}; it must be {rule}")
 
 
 class LayerKind(enum.Enum):
@@ -81,19 +108,12 @@ class TopologyConfig:
     coordinator_xy: tuple[float, float] | None = None
 
     def __post_init__(self):
-        """Refuse a value out of range, naming its key."""
+        """Refuse a value of the wrong type or out of range."""
+        check_types(self, "topology")
         k = self.relays_per_network
         grid = k > 0 and self.relay_layout is RelayLayout.GRID
         n = math.isqrt(max(k, 0))
-        xy = self.coordinator_xy
         for key, bad, rule in (
-                *((key, not math.isfinite(getattr(self, key)),
-                   "a finite number") for key in (
-                    "area_side_m", "gateway_coordinator_distance_m",
-                    "relay_spacing_m")),
-                ("coordinator_xy", xy is not None
-                 and (len(xy) != 2 or not all(map(math.isfinite, xy))),
-                 "None or a pair of finite numbers"),
                 ("networks", self.networks < 1, "at least 1"),
                 ("objects_per_network", self.objects_per_network < 0,
                  "at least 0"),

@@ -14,7 +14,7 @@ from itertools import islice
 from pathlib import Path
 
 from ponplace.milp import BETA_BPS, GAMMA, require_known_vm_types
-from ponplace.power import ModelParams, link_cost_per_bit
+from ponplace.power import ModelParams, link_energies
 from ponplace.topology import NetworkInstance, OLT_NETWORK_ID
 
 
@@ -145,10 +145,11 @@ def build_model(instance: NetworkInstance, params: ModelParams) -> MilpModel:
 
     # Aggregate per-link traffic variables carry the whole traffic objective.
     lu, lp = {}, {}  # "_src_dst" -> the link's aggregate variables
+    costs = link_energies(instance, params.energy).links
     for src, dst in instance.links:
         s = f"_{src}_{dst}"
         lu[s] = var("lu" + s)
-        objective[lu[s]] = link_cost_per_bit(instance, (src, dst), params)
+        objective[lu[s]] = costs[src, dst][2]
         if src in cn and dst in cn:
             lp[s] = var("lp" + s)
             objective[lp[s]] = objective[lu[s]]

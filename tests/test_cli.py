@@ -294,21 +294,22 @@ def test_config_unknown_model_key_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("text,named", [
     ('{"topology": {"networks": "two"}}',
-     'topology.networks is "two"; it must be an integer'),
+     "topology.networks is 'two'; it must be an integer"),
     ('{"topology": {"objects_per_network": 2.5}}',
      "topology.objects_per_network is 2.5; it must be an integer"),
     ('{"model": {"reduction_pct": "0.5"}}',
-     'model.reduction_pct is "0.5"; it must be a finite number'),
+     "model.reduction_pct is '0.5'; it must be a finite number"),
     ("[1, 2]", "the top level must be an object"),
     ('{"model": []}', "section 'model' must be an object"),
     ('{"model": {"capacity_enforced": "false"}}',
-     'model.capacity_enforced is "false"; it must be true or false'),
+     "model.capacity_enforced is 'false'; it must be true or false"),
     ('{"model": {"demand_bps": -5}}',
      "model.demand_bps is -5; it must be a finite number > 0"),
     ('{"model": {"reduction_pct": 1.0}}',
      "model.reduction_pct is 1.0; it must be in [0, 1)"),
     ('{"topology": {"coordinator_xy": [1]}}',
-     "topology.coordinator_xy is [1]; it must be null or a pair of numbers"),
+     "topology.coordinator_xy is (1,); it must be None or a pair of finite "
+     "numbers"),
     ('{"topology": {"networks": 2,}}', ":1: not JSON"),
     ('{"topology": {"relay_layout": "hex"}}',
      "topology.relay_layout is \"hex\"; it must be one of ['grid', 'line']"),
@@ -332,14 +333,19 @@ def test_config_unknown_model_key_exits_1(tmp_path, capsys):
     ('{"topology": {"relay_layout": "line", "relays_per_network": 3, '
      '"relay_spacing_m": -50}}',
      "topology.relay_spacing_m is -50; it must be left out, as the line "
-     "relay layout does not read it")],
+     "relay layout does not read it"),
+    ('{"topology": {"rng_seed": true}}',
+     "topology.rng_seed is True; it must be an integer"),
+    ('{"topology": {"vm_types": "4"}}',
+     "topology.vm_types is '4'; it must be an integer")],
     ids=["int-as-text", "fractional-int", "number-as-text", "not-an-object",
          "section-not-an-object", "bool-as-text", "negative-demand",
          "reduction-one",
          "short-pair", "syntax", "unknown-enum", "unknown-scenario",
          "unknown-section", "no-networks", "non-square-grid",
          "grid-too-wide", "vm-types-over-table", "negative-gateway-distance",
-         "negative-relay-spacing", "line-layout-spacing"])
+         "negative-relay-spacing", "line-layout-spacing", "bool-seed",
+         "vm-types-as-text"])
 def test_bad_config_names_file_and_key(tmp_path, capsys, text, named):
     path = tmp_path / "cfg.json"
     path.write_text(text)

@@ -133,15 +133,19 @@ def test_unknown_vm_type_rejected(minimal_chain, engine):
         run(bad, params)
 
 
-def test_capacity_infeasible_rejected(minimal_chain):
-    params = ModelParams.for_scenario(1, 0.5, vm_types=1)
+def test_capacity_infeasible_rejected():
+    # Six objects of six VM types, each taking 0.9 of any layer's CPUs:
+    # no cloudlet hosts two types, and the chain has only five.
+    chain = pp.build_instance(pp.minimal_chain_config(
+        objects_per_network=6, vm_types=6))
+    params = ModelParams.for_scenario(2, 0.5, vm_types=6)
     heavy = dataclasses.replace(params, workloads=pp.WorkloadTable(
-        {(0, layer): 2.0 for layer in LayerKind
-         if layer is not LayerKind.OBJECT}, vm_types=1))
+        {(v, layer): 0.9 for v in range(6) for layer in LayerKind
+         if layer is not LayerKind.OBJECT}, vm_types=6))
     with pytest.raises(InfeasibleError):
-        solve_exact(minimal_chain, heavy)
+        solve_exact(chain, heavy)
     _, _, report = solve_exact(
-        minimal_chain, dataclasses.replace(heavy, capacity_enforced=False))
+        chain, dataclasses.replace(heavy, capacity_enforced=False))
     assert report.total_w > 0
 
 

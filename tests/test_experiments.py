@@ -1,4 +1,5 @@
 import csv
+import re
 from dataclasses import replace
 
 import pytest
@@ -104,6 +105,19 @@ def test_replace_checks_spec():
         replace(spec, scenarios=(1, 1))
     with pytest.raises(SweepError, match="model.reduction_pct is 1.0"):
         replace(spec, reductions=(0.5, 1.0))
+
+
+@pytest.mark.parametrize("key,value,named", [
+    ("seeds", (7.5,), "topology.rng_seed is 7.5; it must be an integer"),
+    ("seeds", (7, True), "topology.rng_seed is True; it must be an integer"),
+    ("scenarios", (1, 2.0), "model.scenario is 2.0; it must be an integer"),
+    ("scenarios", (True,), "model.scenario is True; it must be an integer"),
+    ("capacity_enforced", "no",
+     "model.capacity_enforced is 'no'; it must be true or false")])
+def test_spec_refuses_wrong_types(key, value, named):
+    # each value is checked by the record its cells build from it
+    with pytest.raises(SweepError, match="^" + re.escape(named) + "$"):
+        replace(SweepSpec(scale="reduced"), **{key: value})
 
 
 def test_parallel_matches_serial():

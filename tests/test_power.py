@@ -22,7 +22,7 @@ def link_cost(src_layer, dst_layer, params, medium=Medium.WIRELESS,
              for i, layer in enumerate((src_layer, dst_layer))]
     instance = pp.NetworkInstance(pp.TopologyConfig(), nodes,
                                   {(0, 1): (medium, distance)}, {})
-    return pp.link_cost_per_bit(instance, (0, 1), params)
+    return pp.power.link_energies(instance, params.energy).links[0, 1][2]
 
 
 def scenario1(r=0.5, vm_types=4):
@@ -145,7 +145,8 @@ class TestEnergyColumnsBitExact:
             cost = ref_link_cost(inst, link, energy)
             assert pp.power.link_energies(inst, energy).links[link][:2] \
                 == ref_link_energy(inst, link, energy)
-            assert pp.link_cost_per_bit(inst, link, params) == cost
+            assert pp.power.link_energies(inst, params.energy) \
+                .links[link][2] == cost
             # The one-link path is the only one-hop path, so its min-hop
             # cost is the route table's cost of that link.
             assert min_hop_path(inst, params, *link) == (1, cost, link)
@@ -192,7 +193,7 @@ class TestEnergyRoleErrors:
             link_cost(src_layer, dst_layer, scenario1())
         inst, link = self.bad_link(src_layer, dst_layer)
         with pytest.raises(pp.ModelError, match=f"^{text}$"):
-            pp.link_cost_per_bit(inst, link, scenario1())
+            pp.power.link_energies(inst, scenario1().energy).links[link][2]
 
     @BAD_ROLES
     def test_route_table(self, src_layer, dst_layer, text):
@@ -360,6 +361,83 @@ def test_energy_params_refuse_negative_or_non_finite(name, value):
             f"energy.{name} is {value!r}; it must be a finite number >= 0")
             + "$"):
         dataclasses.replace(EnergyParams(), **{name: value})
+
+
+@pytest.mark.parametrize("key,value,rule", [
+    ("scenario", True, "an integer"), ("scenario", 2.0, "an integer"),
+    ("capacity_enforced", "no", "true or false"),
+    ("reduction_pct", False, "a finite number"),
+    ("demand_bps", "5000", "a finite number")])
+def test_model_params_refuse_wrong_type(key, value, rule):
+    with pytest.raises(pp.ModelError, match="^" + re.escape(
+            f"model.{key} is {value!r}; it must be {rule}") + "$"):
+        dataclasses.replace(ModelParams.for_scenario(1, 0.5), **{key: value})
+
+
+def test_for_scenario_refuses_a_bool_scenario():
+    with pytest.raises(pp.ModelError, match=r"^model\.scenario is True; "):
+        ModelParams.for_scenario(True, 0.5)
+
+
+@pytest.mark.parametrize("value", ["1", True])
+@pytest.mark.parametrize("name", [f.name for f in
+                                  dataclasses.fields(EnergyParams)])
+def test_energy_params_refuse_non_numbers(name, value):
+    with pytest.raises(pp.ModelError, match="^" + re.escape(
+            f"energy.{name} is {value!r}; it must be a finite number >= 0")
+            + "$"):
+        dataclasses.replace(EnergyParams(), **{name: value})
+
+
+def _but(table, key, value=None):
+    """``table`` with ``key`` set to ``value``, or left out if None."""
+    return {k: v for k, v in {**table, key: value}.items() if v is not None}
+
+
+POWERS = {k: pp.power.DEFAULT_CPU_POWER_W for k in DEFAULT_CPU_COUNTS}
+
+
+@pytest.mark.parametrize("key,value,named", [
+    ("cpu_power_w", {k: -4.64 for k in DEFAULT_CPU_COUNTS},
+     "cpu_power_w[relay] is -4.64; it must be a finite number >= 0"),
+    ("cpu_power_w", _but(POWERS, LayerKind.OLT, math.inf),
+     "cpu_power_w[olt] is inf; it must be a finite number >= 0"),
+    ("cpu_power_w", _but(POWERS, LayerKind.ONU),
+     "cpu_power_w[onu] is None; it must be a finite number >= 0"),
+    ("cpus", _but(DEFAULT_CPU_COUNTS, LayerKind.GATEWAY, 0),
+     "cpus[gateway] is 0; it must be an integer >= 1"),
+    ("cpus", _but(DEFAULT_CPU_COUNTS, LayerKind.RELAY, 2.5),
+     "cpus[relay] is 2.5; it must be an integer >= 1"),
+    ("cpus", _but(DEFAULT_CPU_COUNTS, LayerKind.OLT),
+     "cpus[olt] is None; it must be an integer >= 1")],
+    ids=["negative-power", "infinite-power", "power-missing", "no-cpus",
+         "fractional-cpus", "cpus-missing"])
+def test_processing_params_refuse(key, value, named):
+    with pytest.raises(pp.ModelError,
+                       match="^" + re.escape(f"processing.{named}") + "$"):
+        dataclasses.replace(pp.ProcessingParams(), **{key: value})
+
+
+HETEROGENEOUS = WorkloadTable.heterogeneous()
+
+
+@pytest.mark.parametrize("key,value,named", [
+    ("w", {k: 30 * v for k, v in HETEROGENEOUS.w.items()},
+     f"w[0, relay] is {30 * 0.1!r}; it must be a finite number in [0, 1]"),
+    ("w", _but(HETEROGENEOUS.w, (1, LayerKind.OLT), -0.1),
+     "w[1, olt] is -0.1; it must be a finite number in [0, 1]"),
+    ("w", _but(HETEROGENEOUS.w, (2, LayerKind.ONU), 1.5),
+     "w[2, onu] is 1.5; it must be a finite number in [0, 1]"),
+    ("w", _but(HETEROGENEOUS.w, (3, LayerKind.GATEWAY), math.nan),
+     "w[3, gateway] is nan; it must be a finite number in [0, 1]"),
+    ("vm_types", 0, "vm_types is 0; it must be an integer >= 1"),
+    ("vm_types", 2.5, "vm_types is 2.5; it must be an integer >= 1")],
+    ids=["thirty-times", "negative", "above-one", "nan", "no-types",
+         "fractional-types"])
+def test_workload_table_refuses(key, value, named):
+    with pytest.raises(pp.ModelError,
+                       match="^" + re.escape(f"workloads.{named}") + "$"):
+        dataclasses.replace(HETEROGENEOUS, **{key: value})
 
 
 def test_zero_reduction_identity():

@@ -17,7 +17,7 @@ import ponplace as pp
 from ponplace import milp
 from ponplace.experiments import topology_for_scale
 from ponplace.power import (EnergyParams, ModelParams, ProcessingParams,
-                            WorkloadTable, link_cost_per_bit)
+                            WorkloadTable, link_energies)
 from ponplace.routing import (Unreachable, cheapest_path, cheapest_paths,
                               min_hop_path)
 from ponplace.topology import (LayerKind, Medium, NetworkInstance, Node,
@@ -54,16 +54,19 @@ def _dijkstra(instance, params, src, allowed, key):
     return best
 
 
+def link_cost(instance, link, params):
+    return link_energies(instance, params.energy).links[link][2]
+
+
 def ref_cheapest(instance, params, src, allowed=None):
     res = _dijkstra(instance, params, src, allowed,
-                    key=lambda ln: (link_cost_per_bit(instance, ln, params),))
+                    key=lambda ln: (link_cost(instance, ln, params),))
     return {n: (w[0], path) for n, (w, path) in res.items()}
 
 
 def ref_min_hop(instance, params, src, allowed=None):
     res = _dijkstra(instance, params, src, allowed,
-                    key=lambda ln: (1, link_cost_per_bit(instance, ln,
-                                                         params)))
+                    key=lambda ln: (1, link_cost(instance, ln, params)))
     return {n: (w[0], w[1], path) for n, (w, path) in res.items()}
 
 
@@ -197,7 +200,7 @@ def test_exact_ties_take_the_smallest_node_id_path():
     def cost(path):
         total = 0
         for a, b in zip(path, path[1:]):
-            total += link_cost_per_bit(instance, (a, b), params)
+            total += link_cost(instance, (a, b), params)
         return total
 
     # (0, 1, 4, 5) and (0, 2, 3, 5) tie exactly; the smaller path wins even

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -144,6 +145,20 @@ def test_config_errors():
     ("coordinator_xy", (math.nan, 1.0)), ("coordinator_xy", (1.0, math.inf))])
 def test_non_finite_config_refused(key, value):
     with pytest.raises(ConfigError, match=f"^topology.{key} is "):
+        dataclasses.replace(REDUCED_SCALE_CONFIG, **{key: value})
+
+
+@pytest.mark.parametrize("key,value,rule", [
+    ("relay_layout", "grid", "a RelayLayout"),
+    ("request_assignment", "round_robin", "a RequestAssignment"),
+    ("networks", 2.5, "an integer"), ("networks", True, "an integer"),
+    ("rng_seed", 7.5, "an integer"), ("area_side_m", "30", "a finite number"),
+    ("relay_spacing_m", False, "a finite number"),
+    ("coordinator_xy", [1.0, 2.0], "None or a pair of finite numbers"),
+    ("coordinator_xy", (1.0, "2"), "None or a pair of finite numbers")])
+def test_wrong_type_config_refused(key, value, rule):
+    with pytest.raises(ConfigError, match="^" + re.escape(
+            f"topology.{key} is {value!r}; it must be {rule}") + "$"):
         dataclasses.replace(REDUCED_SCALE_CONFIG, **{key: value})
 
 
