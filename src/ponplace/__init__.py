@@ -12,15 +12,14 @@ from .power import (EnergyParams, ModelError, ModelParams, PowerReport,
                     total_objective, traffic_power)
 from .solution import EngineResult, FlowAssignment, PlacementSolution
 from .topology import (ConfigError, LayerKind, Medium, NetworkInstance, Node,
-                       RelayLayout, RequestAssignment, TopologyConfig,
-                       build_instance, minimal_chain_config)
+                       RelayLayout, TopologyConfig, build_instance)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "build_instance", "minimal_chain_config",
+    "build_instance",
     "TopologyConfig", "NetworkInstance", "Node", "LayerKind",
-    "Medium", "RequestAssignment", "RelayLayout", "ConfigError",
+    "Medium", "RelayLayout", "ConfigError",
     "EnergyParams", "ProcessingParams", "WorkloadTable", "ModelParams",
     "PowerReport", "ModelError",
     "traffic_power", "processing_power", "total_objective",

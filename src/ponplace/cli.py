@@ -8,6 +8,7 @@ sweep); flags override values from an optional --config JSON file.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -88,7 +89,10 @@ def _instance_and_params(args):
     return build_instance(config), params
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and each call's flags land in a namespace of its own."""
     parser = argparse.ArgumentParser(
         prog="ponplace",
         description="Energy-aware VM/cloudlet placement over an IoT-PON network")

@@ -387,22 +387,8 @@ def _exact(x: float) -> str:
 
 
 def emit_lp(model: MilpModel, path: str | Path) -> Path:
-    """Write the model in CPLEX LP format (one constraint per line) and a
-    companion ``<path>.names`` variable map."""
-    path = _write(Path(path), _lp_lines(model))
-    _write(path.with_suffix(path.suffix + ".names"), _names_lines(model))
-    return path
-
-
-def _names_lines(model: MilpModel):
-    names = _Text(lambda g: "".join(f"{_VAR}{s}\tcontinuous\n"
-                                        for s in g.links))
-    for col in _columns(model):
-        if isinstance(col, str):
-            yield f"{col}\t{model.kinds[col]}\n"
-        else:
-            com, _ = col
-            yield names[com.graph].replace(_VAR, com.prefix)
+    """Write the model in CPLEX LP format (one constraint per line)."""
+    return _write(Path(path), _lp_lines(model))
 
 
 def _lp_lines(model: MilpModel):

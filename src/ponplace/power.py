@@ -101,19 +101,29 @@ _BASE_WORKLOAD_ROW = {
 }
 
 
+def _vm_types(value) -> int:
+    """``value`` if it is an integer >= 1, else a ModelError."""
+    if type_rule(1, value) or value < 1:
+        raise ModelError(f"workloads.vm_types is {value!r}; it must be an "
+                         f"integer >= 1")
+    return value
+
+
 @dataclass(frozen=True)
 class WorkloadTable:
     """Map (vm_type, layer) -> normalized workload fraction for ``vm_types``
-    (an integer >= 1) VM types; each fraction is a finite number in [0, 1]."""
+    (an integer >= 1) VM types: every type below ``vm_types`` has a finite
+    fraction in [0, 1] at every candidate layer, and so does any other
+    entry."""
 
     w: dict[tuple[int, LayerKind], float]
     vm_types: int
 
     def __post_init__(self):
-        if type_rule(1, self.vm_types) or self.vm_types < 1:
-            raise ModelError(f"workloads.vm_types is {self.vm_types!r}; it "
-                             f"must be an integer >= 1")
-        for (v, layer), frac in self.w.items():
+        needed = [(v, layer) for v in range(_vm_types(self.vm_types))
+                  for layer in DEFAULT_CPU_COUNTS]
+        for v, layer in dict.fromkeys([*needed, *self.w]):
+            frac = self.w.get((v, layer))
             if type_rule(0.0, frac) or not 0.0 <= frac <= 1.0:
                 raise ModelError(f"workloads.w[{v}, {layer.value}] is {frac!r}"
                                  f"; it must be a finite number in [0, 1]")
@@ -121,7 +131,7 @@ class WorkloadTable:
     @classmethod
     def heterogeneous(cls, vm_types: int = 4) -> "WorkloadTable":
         """Type t takes t/10 of a relay CPU, scaled down the layers."""
-        if vm_types > 4:
+        if _vm_types(vm_types) > 4:
             raise ConfigError(f"topology.vm_types is {vm_types}; scenario "
                               f"1's workload table defines 4 VM types")
         w = {(v, layer): (v + 1) * frac
@@ -133,7 +143,7 @@ class WorkloadTable:
     def homogeneous(cls, vm_types: int = 4) -> "WorkloadTable":
         """Every type carries the heaviest (type-4) demand."""
         w = {(v, layer): 4 * frac
-             for v in range(vm_types)
+             for v in range(_vm_types(vm_types))
              for layer, frac in _BASE_WORKLOAD_ROW.items()}
         return cls(w=w, vm_types=vm_types)
 

@@ -12,7 +12,8 @@ import csv
 import enum
 import math
 import random
-from dataclasses import dataclass, fields, replace
+import sys
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 
@@ -26,7 +27,9 @@ def type_rule(default, value) -> str | None:
     may stand for a ``float``, and finite if a number."""
     kind = type(default)
     if kind is float:
-        finite = type(value) in (int, float) and math.isfinite(value)
+        # Not math.isfinite, which overflows on an int beyond float range.
+        finite = (type(value) in (int, float)
+                  and abs(value) <= sys.float_info.max)
         return None if finite else "a finite number"
     if type(value) is kind:
         return None
@@ -60,11 +63,6 @@ class Medium(enum.Enum):
     WIRELESS = "wireless"
     ETHERNET = "ethernet"
     FIBER = "fiber"
-
-
-class RequestAssignment(enum.Enum):
-    ROUND_ROBIN = "round_robin"
-    SEEDED_UNIFORM = "seeded_uniform"
 
 
 class RelayLayout(enum.Enum):
@@ -102,7 +100,6 @@ class TopologyConfig:
     gateway_coordinator_distance_m: float = 100.0
     rng_seed: int = 7
     vm_types: int = 4
-    request_assignment: RequestAssignment = RequestAssignment.ROUND_ROBIN
     relay_layout: RelayLayout = RelayLayout.GRID
     #: Override for the coordinator position; defaults to the area center.
     coordinator_xy: tuple[float, float] | None = None
@@ -206,7 +203,8 @@ def build_instance(config: TopologyConfig) -> NetworkInstance:
     Objects are placed uniformly at random (seeded) in the square area,
     relays per the configured layout, the coordinator at the area center
     (unless overridden).  Gateway/ONU/OLT carry no physical position: their
-    link distances do not enter any cost term and are stored as 0.
+    link distances do not enter any cost term and are stored as 0.  The
+    i-th object of each network requests VM type ``i % vm_types``.
     """
     relay_xy = _relay_positions(config)
     rng = random.Random(config.rng_seed)
@@ -248,10 +246,7 @@ def build_instance(config: TopologyConfig) -> NetworkInstance:
         links[gateway, onu] = Medium.ETHERNET, 0.0
 
         for i, o in enumerate(obj_ids):
-            if config.request_assignment is RequestAssignment.ROUND_ROBIN:
-                vm_request[o] = i % config.vm_types
-            else:
-                vm_request[o] = rng.randrange(config.vm_types)
+            vm_request[o] = i % config.vm_types
 
     olt = add_node(LayerKind.OLT, OLT_NETWORK_ID)
     for onu in onu_ids:
@@ -262,14 +257,6 @@ def build_instance(config: TopologyConfig) -> NetworkInstance:
 
 def _dist(a: Node, b: Node) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
-
-
-def minimal_chain_config(**overrides) -> TopologyConfig:
-    """1 network, 1 object, 1 relay, 1 VM type: the smallest instance with a
-    unique object -> relay -> coordinator -> gateway -> ONU -> OLT path."""
-    base = TopologyConfig(networks=1, objects_per_network=1,
-                          relays_per_network=1, vm_types=1)
-    return replace(base, **overrides)
 
 
 def write_csv(instance: NetworkInstance, out_dir: str | Path) -> None:

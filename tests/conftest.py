@@ -3,6 +3,8 @@ import pytest
 import ponplace as pp
 from ponplace.experiments import REDUCED_SCALE_CONFIG
 
+from chain import minimal_chain_config
+
 
 @pytest.fixture(scope="session")
 def paper_instance():
@@ -16,4 +18,4 @@ def reduced_instance():
 
 @pytest.fixture()
 def minimal_chain():
-    return pp.build_instance(pp.minimal_chain_config())
+    return pp.build_instance(minimal_chain_config())

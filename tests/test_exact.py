@@ -18,6 +18,7 @@ from ponplace.power import ModelParams
 from ponplace.routing import cheapest_path, cheapest_paths
 from ponplace.topology import LayerKind, RelayLayout
 
+from chain import minimal_chain_config
 from oracle import brute_force_optimum, corpus_case, joint_brute_force_optimum
 
 
@@ -136,7 +137,7 @@ def test_unknown_vm_type_rejected(minimal_chain, engine):
 def test_capacity_infeasible_rejected():
     # Six objects of six VM types, each taking 0.9 of any layer's CPUs:
     # no cloudlet hosts two types, and the chain has only five.
-    chain = pp.build_instance(pp.minimal_chain_config(
+    chain = pp.build_instance(minimal_chain_config(
         objects_per_network=6, vm_types=6))
     params = ModelParams.for_scenario(2, 0.5, vm_types=6)
     heavy = dataclasses.replace(params, workloads=pp.WorkloadTable(
@@ -182,7 +183,7 @@ def test_deterministic():
 
 
 def test_empty_network_costs_nothing():
-    inst = pp.build_instance(pp.minimal_chain_config(objects_per_network=0))
+    inst = pp.build_instance(minimal_chain_config(objects_per_network=0))
     params = ModelParams.for_scenario(1, 0.5, vm_types=1)
     sol, flows, report = solve_exact(inst, params)
     assert sol.placed == frozenset()

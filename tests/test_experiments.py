@@ -125,6 +125,7 @@ def test_parallel_matches_serial():
                      engines=("eepiv", "exact"), seeds=(7, 8), scale="reduced")
     serial = run_sweep(spec, jobs=1)
     parallel = run_sweep(spec, jobs=2)
+    assert all(cell.error is None for cell in serial.cells.values())
     assert list(serial.cells) == list(parallel.cells)
     for key, cell in serial.cells.items():
         assert replace(cell, wall_time_s=0.0) == \

@@ -16,10 +16,12 @@ from ponplace.milp import (BETA_BPS, MilpModel, build_model, emit_lp,
 from ponplace.power import ModelParams
 from ponplace.topology import OLT_NETWORK_ID
 
+from chain import minimal_chain_config
+
 
 @pytest.fixture(scope="module")
 def chain():
-    inst = pp.build_instance(pp.minimal_chain_config())
+    inst = pp.build_instance(minimal_chain_config())
     params = ModelParams.for_scenario(1, 0.5, vm_types=1)
     return inst, params
 
@@ -148,12 +150,6 @@ class TestEmission:
         assert summary["variables"] == len(chain_model.variables)
         assert summary["constraints"] == len(chain_model.rows)
 
-    def test_lp_name_map(self, chain_model, tmp_path):
-        emit_lp(chain_model, tmp_path / "chain.lp")
-        names = (tmp_path / "chain.lp.names").read_text().splitlines()
-        assert len(names) == len(chain_model.variables)
-        assert all(len(line.split("\t")) == 2 for line in names)
-
     def test_mps_sections(self, chain_model, tmp_path):
         text = emit_mps(chain_model, tmp_path / "chain.mps").read_text()
         for section in ("ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA"):
@@ -165,7 +161,7 @@ class TestEmission:
         assert f"{BETA_BPS:.12g}" in text  # linking big-M appears verbatim
 
     def test_empty_instance_model(self):
-        inst = pp.build_instance(pp.minimal_chain_config(objects_per_network=0))
+        inst = pp.build_instance(minimal_chain_config(objects_per_network=0))
         params = ModelParams.for_scenario(1, 0.5, vm_types=1)
         model = build_model(inst, params)
         assert model.counts().get("rows_d13", 0) == 0
@@ -267,31 +263,28 @@ def solve_mps(path) -> float:
 
 def export_digests(directory) -> tuple[str, ...]:
     return tuple(hashlib.sha256((directory / name).read_bytes()).hexdigest()
-                 for name in ("model.lp", "model.lp.names", "model.mps"))
+                 for name in ("model.lp", "model.mps"))
 
 
 class TestExportBytes:
-    """The export is byte-stable: sha256 of ``model.lp``, ``model.lp.names``
-    and ``model.mps``, with every number written exactly.  A change to
-    either emitter or to the model that alters one byte fails here."""
+    """The export is byte-stable: sha256 of ``model.lp`` and ``model.mps``,
+    with every number written exactly.  A change to either emitter or to
+    the model that alters one byte fails here."""
 
     def test_minimal_chain(self, chain_model, tmp_path):
         emit_lp(chain_model, tmp_path / "model.lp")
         emit_mps(chain_model, tmp_path / "model.mps")
         assert export_digests(tmp_path) == (
             "7476a24906abe210e60c8a67912236e260eb9b808e950b7197ceaa73215dc7ee",
-            "9cdf20750894619ef08066cb614c29b526f5923e2cd685b560eb82816189fee4",
             "c4c640f9e32dab1565183e7e7f0826b17f77ddf32f485e48bc6ab7a69357bd22")
 
     @pytest.mark.parametrize("flags, digests", [
         (["--seed", "7", "--scenario", "1", "--reduction", "0.1"], (
             "eff0a9a59820c959274e19ebf0b7b92fc80d6955bae23125408f9ab6618b07a0",
-            "dc87bdac377a2e8faf2b2ccdc28d72eddd0e4cc9115849ffebb7b97714c6c56f",
             "dc23d93b8230d0589a0ef853c8e7756d5298d18364e6256336891ba8c268ff0f")),
         (["--seed", "12345", "--scenario", "3", "--reduction", "0.9",
           "--no-capacity"], (
             "a50238d721225b2eb19b6553c6432864ef2a714acca8a336102a2ef1692ebac0",
-            "dc87bdac377a2e8faf2b2ccdc28d72eddd0e4cc9115849ffebb7b97714c6c56f",
             "8af698fb359266276c00c0549530751d10e87fae3714d0ca1358b171e3df9dfe")),
     ], ids=["seed7", "seed12345"])
     def test_reduced_export_lp(self, flags, digests, tmp_path, capsys):

@@ -1,7 +1,7 @@
 """The model with commodities as blocks, and its emitters, against the
-flat model they replaced (``flat_model.py``, kept unchanged): the same
-``model.lp``, ``model.lp.names`` and ``model.mps`` byte for byte, the same
-counts, and the same variables and rows when the blocks are expanded."""
+flat model they replaced (``flat_model.py``): the same ``model.lp`` and
+``model.mps`` byte for byte, the same counts, and the same variables and
+rows when the blocks are expanded."""
 
 import tempfile
 from dataclasses import fields, replace
@@ -18,8 +18,9 @@ from ponplace.power import EnergyParams, ModelParams
 from ponplace.topology import RelayLayout
 
 import flat_model
+from chain import minimal_chain_config
 
-FILES = ("model.lp", "model.lp.names", "model.mps")
+FILES = ("model.lp", "model.mps")
 
 
 def written(emitters, model, directory: Path) -> list[bytes]:
@@ -57,12 +58,12 @@ def reduced_seed(seed: int) -> pp.NetworkInstance:
 
 
 def test_minimal_chain(tmp_path):
-    assert_same_as_flat(pp.build_instance(pp.minimal_chain_config()),
+    assert_same_as_flat(pp.build_instance(minimal_chain_config()),
                         ModelParams.for_scenario(1, 0.5, vm_types=1), tmp_path)
 
 
 def test_no_objects(tmp_path):
-    inst = pp.build_instance(pp.minimal_chain_config(objects_per_network=0))
+    inst = pp.build_instance(minimal_chain_config(objects_per_network=0))
     assert_same_as_flat(inst, ModelParams.for_scenario(1, 0.5, vm_types=1),
                         tmp_path)
 
@@ -70,7 +71,7 @@ def test_no_objects(tmp_path):
 def test_row_without_terms(tmp_path):
     # Without the relay's out-link the relay has no link among the
     # candidates: the processed commodities' rows there are empty.
-    chain = pp.build_instance(pp.minimal_chain_config())
+    chain = pp.build_instance(minimal_chain_config())
     obj = chain.objects()[0]
     relay = next(dst for src, dst in chain.links if src == obj)
     cut = pp.NetworkInstance(chain.config, list(chain.nodes),

@@ -11,6 +11,7 @@ from ponplace.power import (DEFAULT_CPU_COUNTS, EnergyParams, ModelParams,
 from ponplace.routing import min_hop_path, route_table
 from ponplace.solution import FlowAssignment, PlacementSolution
 from ponplace.topology import LayerKind, Medium, Node
+from chain import minimal_chain_config
 from oracle import ref_link_cost, ref_link_energy
 from test_routing import ENERGIES
 
@@ -56,7 +57,7 @@ class TestLinkCost:
 
 
 def chain_instance():
-    return pp.build_instance(pp.minimal_chain_config(rng_seed=3))
+    return pp.build_instance(minimal_chain_config(rng_seed=3))
 
 
 def link_flows(upt=None, pt=None):
@@ -430,14 +431,28 @@ HETEROGENEOUS = WorkloadTable.heterogeneous()
      "w[2, onu] is 1.5; it must be a finite number in [0, 1]"),
     ("w", _but(HETEROGENEOUS.w, (3, LayerKind.GATEWAY), math.nan),
      "w[3, gateway] is nan; it must be a finite number in [0, 1]"),
+    ("w", _but(HETEROGENEOUS.w, (2, LayerKind.OLT)),
+     "w[2, olt] is None; it must be a finite number in [0, 1]"),
+    ("w", {(0, LayerKind.RELAY): 0.1},
+     "w[0, coordinator] is None; it must be a finite number in [0, 1]"),
     ("vm_types", 0, "vm_types is 0; it must be an integer >= 1"),
     ("vm_types", 2.5, "vm_types is 2.5; it must be an integer >= 1")],
-    ids=["thirty-times", "negative", "above-one", "nan", "no-types",
+    ids=["thirty-times", "negative", "above-one", "nan",
+         "type-missing-a-layer", "one-fraction", "no-types",
          "fractional-types"])
 def test_workload_table_refuses(key, value, named):
     with pytest.raises(pp.ModelError,
                        match="^" + re.escape(f"workloads.{named}") + "$"):
         dataclasses.replace(HETEROGENEOUS, **{key: value})
+
+
+@pytest.mark.parametrize("scenario", [1, 2])
+@pytest.mark.parametrize("value", [2.5, "4"])
+def test_for_scenario_refuses_non_integer_vm_types(scenario, value):
+    with pytest.raises(pp.ModelError, match="^" + re.escape(
+            f"workloads.vm_types is {value!r}; it must be an integer >= 1")
+            + "$"):
+        ModelParams.for_scenario(scenario, 0.5, vm_types=value)
 
 
 def test_zero_reduction_identity():

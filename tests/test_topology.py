@@ -7,7 +7,7 @@ import pytest
 import ponplace as pp
 from ponplace.experiments import REDUCED_SCALE_CONFIG
 from ponplace.topology import (ConfigError, LayerKind, Medium, Node,
-                               OLT_NETWORK_ID, RelayLayout, RequestAssignment)
+                               OLT_NETWORK_ID, RelayLayout)
 
 ALLOWED_LAYER_PAIRS = {
     (LayerKind.OBJECT, LayerKind.RELAY),
@@ -68,12 +68,6 @@ def test_round_robin_request_balance(paper_instance):
             if paper_instance.network_of(o) == net:
                 counts[paper_instance.vm_request[o]] += 1
         assert sorted(counts) == [12, 12, 13, 13]
-
-
-def test_seeded_uniform_requests_in_range():
-    cfg = pp.TopologyConfig(request_assignment=RequestAssignment.SEEDED_UNIFORM)
-    inst = pp.build_instance(cfg)
-    assert all(0 <= v < 4 for v in inst.vm_request.values())
 
 
 def test_determinism():
@@ -142,7 +136,8 @@ def test_config_errors():
     ("gateway_coordinator_distance_m", math.inf),
     ("relay_spacing_m", math.nan), ("relay_spacing_m", -math.inf),
     ("area_side_m", math.inf), ("area_side_m", math.nan),
-    ("coordinator_xy", (math.nan, 1.0)), ("coordinator_xy", (1.0, math.inf))])
+    ("coordinator_xy", (math.nan, 1.0)), ("coordinator_xy", (1.0, math.inf)),
+    pytest.param("area_side_m", 10 ** 400, id="area_side_m-beyond-float")])
 def test_non_finite_config_refused(key, value):
     with pytest.raises(ConfigError, match=f"^topology.{key} is "):
         dataclasses.replace(REDUCED_SCALE_CONFIG, **{key: value})
@@ -150,7 +145,7 @@ def test_non_finite_config_refused(key, value):
 
 @pytest.mark.parametrize("key,value,rule", [
     ("relay_layout", "grid", "a RelayLayout"),
-    ("request_assignment", "round_robin", "a RequestAssignment"),
+    ("objects_per_network", 2.0, "an integer"),
     ("networks", 2.5, "an integer"), ("networks", True, "an integer"),
     ("rng_seed", 7.5, "an integer"), ("area_side_m", "30", "a finite number"),
     ("relay_spacing_m", False, "a finite number"),
