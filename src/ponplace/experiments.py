@@ -58,9 +58,6 @@ class SweepSpec:
             if repeated is not None:
                 raise SweepError(f"{name} lists {repeated!r} more than once; "
                                  f"each cell is run once")
-        if "lp-export" in self.engines:
-            raise SweepError("lp-export is not a sweep engine; write the "
-                             "model with `ponplace export-lp`")
         bad = set(self.engines) - {"exact", "eepiv"}
         if bad:
             raise SweepError(f"unknown engines {sorted(bad)}; sweep "

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -918,10 +919,17 @@ def solve_exact(instance: NetworkInstance,
     # the largest is 1e6, which makes that gap 1e-12 of it: placements a
     # few microwatts apart do occur and must not be taken for ties.
     scale = 1e6 / (max(objective, default=0.0) or 1.0)
-    res = milp([c * scale for c in objective],
-               integrality=[0] * n_x + [1] * len(opens), bounds=(0.0, 1.0),
-               constraints=LinearConstraint(matrix, lower, upper),
-               options={"mip_rel_gap": 0.0, "node_limit": NODE_LIMIT})
+    # Feasibility jump only seeds a first incumbent, and the root LP closed
+    # the gap in every cell measured (README).  scipy passes the option to
+    # HiGHS as it is, with a warning that it does not know it.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "Unrecognized options detected",
+                                RuntimeWarning)
+        res = milp([c * scale for c in objective],
+                   integrality=[0] * n_x + [1] * len(opens), bounds=(0.0, 1.0),
+                   constraints=LinearConstraint(matrix, lower, upper),
+                   options={"mip_rel_gap": 0.0, "node_limit": NODE_LIMIT,
+                            "mip_heuristic_run_feasibility_jump": False})
     if res.status == 2:
         raise InfeasibleError("no placement serves every object within the "
                               "workload caps")

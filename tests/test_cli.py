@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +85,32 @@ def test_solve_reduced(tmp_path, capsys):
     assert code == 0
     assert "optimal total:" in out
     assert (tmp_path / "solution.txt").exists()
+
+
+#: ``ponplace`` with each ``scipy.optimize.milp`` call's option names printed.
+SHOW_HIGHS_OPTIONS = """\
+import sys, scipy.optimize
+from ponplace.cli import main
+real = scipy.optimize.milp
+def milp(*args, options, **kwargs):
+    print("options:", *sorted(options))
+    return real(*args, options=options, **kwargs)
+scipy.optimize.milp = milp
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_solve_writes_nothing_to_stderr(tmp_path):
+    # a fresh interpreter has Python's default warning filters, which print
+    # scipy's warning about a HiGHS option it does not document
+    src = str(Path(pp.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", SHOW_HIGHS_OPTIONS, "solve", "--scale",
+         "reduced", "--out", str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0
+    assert "mip_heuristic_run_feasibility_jump" in done.stdout
+    assert done.stderr == ""
 
 
 def test_solve_paper_scale_validates(tmp_path, capsys):
@@ -407,7 +437,7 @@ def test_sweep_rejects_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags,named", [
-    (["--engine", "lp-export"], "export-lp"),
+    (["--engine", "lp-export"], "unknown engines"),
     (["--scenarios", "4"], "model.scenario is 4"),
     (["--reductions", "0.5,1.5"], "1.5"),
     (["--jobs", "0"], "jobs"),

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -119,6 +120,39 @@ def test_expansion_budget(monkeypatch):
     monkeypatch.setattr(milp, "NODE_LIMIT", 0)
     with pytest.raises(ResourceBudgetError, match="node limit"):
         solve_exact(inst, params)
+
+
+def record_milp_options(monkeypatch) -> list[dict]:
+    """Wrap the real ``scipy.optimize.milp``; the list gets each call's
+    options, copied first because scipy pops keys from the dict it gets."""
+    seen, real = [], scipy.optimize.milp
+
+    def wrapped(*args, options=None, **kwargs):
+        seen.append(dict(options))
+        return real(*args, options=options, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", wrapped)
+    return seen
+
+
+def test_highs_options(monkeypatch, reduced_instance):
+    # zero gap and the node limit make the answer exact; feasibility jump
+    # only seeds a first incumbent, which the root LP makes needless
+    seen = record_milp_options(monkeypatch)
+    solve_exact(reduced_instance, ModelParams.for_scenario(2, 0.1))
+    assert seen == [{"mip_rel_gap": 0.0, "node_limit": milp.NODE_LIMIT,
+                     "mip_heuristic_run_feasibility_jump": False}]
+
+
+def test_highs_option_warning_kept_quiet(monkeypatch, reduced_instance):
+    # scipy warns about each option outside its documented five; solve_exact
+    # passes one and must not let that warning reach the user
+    seen = record_milp_options(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solve_exact(reduced_instance, ModelParams.for_scenario(2, 0.1))
+    documented = {"disp", "presolve", "time_limit", "node_limit", "mip_rel_gap"}
+    assert set(seen[0]) - documented
 
 
 @pytest.mark.parametrize("engine", ["exact", "eepiv", "model"])

@@ -72,7 +72,7 @@ def test_spec_validation(tmp_path):
         SweepSpec(reductions=())
     with pytest.raises(SweepError):
         SweepSpec(engines=("simplex",))
-    with pytest.raises(SweepError, match="ponplace export-lp"):
+    with pytest.raises(SweepError, match="unknown engines"):
         SweepSpec(engines=("eepiv", "lp-export"))
     with pytest.raises(SweepError):
         SweepSpec(scale="huge")
